@@ -20,6 +20,7 @@ from .errors import InputError
 from .families import ExplicitFamily, Family, ProductFamily, ScaledFamily
 from .groups import FiniteGroupTable, group_H_explicit, group_hfold
 from .symbolic import (
+    OUT,
     Empty,
     IntSet,
     Window,
@@ -36,6 +37,7 @@ from .sumsets import (
     SumsetResult,
     default_radius,
     members_in,
+    query,
     symbolic_hfold_sum,
 )
 
@@ -413,9 +415,8 @@ def verify_out_witness(family: Family, h: int, x: int) -> bool:
         return False
     core = normalize(family.intersection())
     res = symbolic_hfold_sum(core, h, Window(-abs(x) - 8, abs(x) + 8))
-    if isinstance(res, Closed):
-        return not contains(res.set, x)
-    return res.complete and x not in res.members
+    # OUT needs a closed form or a complete window; out-up-to is not enough
+    return query(res, x) == OUT
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .symbolic import (
     Empty,
     Finite,
     IntSet,
+    Tail,
     Window,
     affine,
     bounds,
@@ -280,10 +281,23 @@ class EnumerationFamily(Family):
             raise ConstructionError("core must have a nonempty complement")
 
     def _complement_prefix(self, n: int) -> list[int]:
-        out: list[int] = []
+        # a finite complement is listed whole, so asking for more points
+        # than it has returns all of them instead of searching for more
         if isinstance(self.core, Cofinite):
-            pool = sorted(self.core.excluded, key=lambda v: (abs(v), v >= 0))
-            return pool[:n]
+            pool = self.core.excluded
+        elif isinstance(self.core, Tail):
+            # the complement is (center - radius, center + radius); its
+            # first n points lie within n of its point nearest 0
+            a = self.core.center - self.core.radius + 1
+            b = self.core.center + self.core.radius - 1
+            near = min(max(0, a), b)
+            pool = range(max(a, near - n), min(b, near + n) + 1)
+        else:
+            return self._search_complement(n)
+        return sorted(pool, key=lambda v: (abs(v), v >= 0))[:n]
+
+    def _search_complement(self, n: int) -> list[int]:
+        out: list[int] = []
         x = 0
         while len(out) < n:
             for cand in ((0,) if x == 0 else (-x, x)):

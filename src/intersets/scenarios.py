@@ -451,7 +451,8 @@ def _run_cofinite_basis(opts: ScenarioOptions) -> ScenarioResult:
             if getattr(res, "set", None) != ALL:
                 not_all.append((excl, h))
         brute = windowed_hfold_sum(s, 2, win, opts.gen_radius or default_radius(win, 2))
-        missing = [x for x in range(win.lo, win.hi + 1) if x not in set(brute.members)]
+        present = set(brute.members)
+        missing = [x for x in range(win.lo, win.hi + 1) if x not in present]
         if missing:
             uncovered.append((excl, missing[0]))
     run.check(

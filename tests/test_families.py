@@ -123,6 +123,30 @@ def test_enumeration_layers_frozen():
     assert cf.set_at(4) == cofinite([-3, 5, 7])
 
 
+@pytest.mark.parametrize(
+    "excluded, spiral",
+    [
+        ([1, 2, 3], [1, 2, 3]),  # normalizes to Tail(2, 2)
+        ([-5, -4, -3, -2, -1], [-1, -2, -3, -4, -5]),
+        ([-1, 0, 1], [0, -1, 1]),
+        ([5, -3, 7], [-3, 5, 7]),
+    ],
+)
+def test_enumeration_exhausts_finite_complement(excluded, spiral):
+    fam = EnumerationFamily(cofinite(excluded))
+    # layers past the complement's size equal the core, with no search
+    for q in range(1, len(spiral) + 4):
+        assert fam.set_at(q) == cofinite(spiral[: q - 1])
+    assert fam.set_at(len(spiral) + 3) == fam.intersection()
+
+
+def test_enumeration_wide_tail_core():
+    fam = EnumerationFamily(tail(10**6, 10**6 - 5))
+    assert fam.set_at(4) == cofinite([6, 7, 8])
+    fam = EnumerationFamily(tail(0, 10**7))
+    assert fam.set_at(5) == cofinite([0, -1, 1, -2])
+
+
 def test_coset_layers():
     fam = CosetTailFamily(2, 1)
     got = materialize(fam.set_at(3), Window(-10, 12))

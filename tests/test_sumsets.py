@@ -1,5 +1,8 @@
 """Sumset engine: closed forms, windowed enumeration, counts, basis order."""
 
+import random
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +22,8 @@ from intersets import (
     tail,
     union,
 )
-from intersets.symbolic import IN, OUT
+from intersets import sumsets
+from intersets.symbolic import IN, OUT, out_up_to
 from intersets.sumsets import (
     Closed,
     Windowed,
@@ -144,6 +148,118 @@ def test_members_in_window_guard():
     assert members_in(r, Window(-2, 4)) == {0, 1, 2, 3, 4}
     with pytest.raises(DomainError):
         members_in(r, Window(-50, 50))
+
+
+# -- convolution kernels ----------------------------------------------------
+
+
+def _bits(xs) -> int:
+    out = 0
+    for x in xs:
+        out |= 1 << x
+    return out
+
+
+def _positions(bits: int) -> set[int]:
+    return {i for i in range(bits.bit_length()) if bits >> i & 1}
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(-1, 1),
+    st.integers(-1, 1),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+@settings(max_examples=150)
+def test_conv_kernels_match_naive_sums(crossover, da, db, seed, square):
+    # a small crossover puts both kernels and both sides of it in reach of
+    # the naive oracle; the kernels themselves do not depend on its value
+    rng = random.Random(seed)
+    xs = rng.sample(range(4 * crossover + 8), max(1, crossover + da))
+    ys = xs if square else rng.sample(range(6 * crossover + 8), max(1, crossover + db))
+    a = _bits(xs)
+    b = a if square else _bits(ys)
+    spy = mock.patch.object(
+        sumsets, "_conv_kronecker", wraps=sumsets._conv_kronecker
+    )
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_POPCOUNT", crossover):
+        with spy as kron:
+            got = sumsets._conv(a, b)
+    assert kron.called == (min(len(xs), len(ys)) >= crossover)
+    assert _positions(got) == {x + y for x in xs for y in ys}
+
+
+@pytest.mark.parametrize("square", [True, False])
+@pytest.mark.parametrize("delta", [-1, 0])
+def test_conv_at_the_crossover(square, delta):
+    c = sumsets._KRONECKER_MIN_POPCOUNT
+    rng = random.Random(delta)
+    xs = rng.sample(range(2 * c), c + delta)
+    ys = xs if square else rng.sample(range(3 * c), c + 7)
+    a = _bits(xs)
+    b = a if square else _bits(ys)
+    with mock.patch.object(
+        sumsets, "_conv_kronecker", wraps=sumsets._conv_kronecker
+    ) as kron:
+        got = _positions(sumsets._conv(a, b))
+    assert kron.called == (delta >= 0)
+    # s is a sum iff s - x lies in ys for some x: the naive {x + y} set,
+    # built sum by sum because there are about 17 million pairs
+    yset = set(ys)
+    top = max(xs) + max(ys)
+    assert got == {t for t in range(top + 1) if any(t - x in yset for x in xs)}
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+    st.integers(1, 3),
+    st.integers(-40, 40),
+    st.integers(0, 30),
+)
+@settings(max_examples=80)
+def test_windowed_matches_naive_fold(xs, h, lo, width):
+    win = Window(lo, lo + width)
+    r = max(win.radius, 30)
+    got = windowed_hfold_sum(finite(xs), h, win, r)
+    assert list(got.members) == sorted(windowed_fold(finite(xs), h, win, r))
+    assert got.complete
+
+
+def test_windowed_edge_cases():
+    # the window starts at -gen_radius, so with h = 1 the engine reads its
+    # bitset from bit 0
+    r = windowed_hfold_sum(finite([3, 5]), 1, Window(-9, 9), 9)
+    assert r.members == (3, 5) and r.complete
+    # the window reaches far left of the smallest sum
+    r = windowed_hfold_sum(half_tail(4), 2, Window(-20, 12), 20)
+    assert r.members == tuple(range(8, 13)) and r.complete
+    # an empty sumset in the window, from an empty and a nonempty set
+    r = windowed_hfold_sum(finite([30]), 2, Window(-10, 10), 40)
+    assert r.members == () and r.complete
+    r = windowed_hfold_sum(finite([]), 3, Window(-10, 10), 40)
+    assert r.members == () and r.complete
+    # one-point windows, in and out
+    assert windowed_hfold_sum(finite([1, 4]), 2, Window(5, 5), 8).members == (5,)
+    assert windowed_hfold_sum(finite([1, 4]), 2, Window(6, 6), 8).members == ()
+
+
+def test_query_bisects_members():
+    r = windowed_hfold_sum(finite([2, 7]), 2, Window(-5, 20), 30)
+    assert r.members == (4, 9, 14) and r.complete
+    for x in r.members:
+        assert query(r, x) == IN
+    for x in (-5, 3, 5, 13, 15, 20):
+        assert query(r, x) == OUT
+    r = windowed_hfold_sum(congruence(5, (1,)), 2, Window(-6, 6), 20)
+    assert r.members == (-3, 2) and not r.complete
+    assert [query(r, x) for x in (-6, -3, 0, 2, 6)] == [
+        out_up_to(20),
+        IN,
+        out_up_to(20),
+        IN,
+        out_up_to(20),
+    ]
 
 
 # -- representation counts --------------------------------------------------
