@@ -43,6 +43,7 @@ from .errors import (
     ConstructionError,
     DomainError,
     InputError,
+    InvariantError,
     NoClosedForm,
     ParseError,
 )

@@ -12,11 +12,9 @@ element of C missing from hA is a one-point disproof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .families import ExplicitFamily, Family, ProductFamily, ScaledFamily
 from .groups import FiniteGroupTable, group_H_explicit, group_hfold
 from .symbolic import (
@@ -26,11 +24,13 @@ from .symbolic import (
     Window,
     congruence,
     contains,
+    first_in_spiral,
     is_subset,
     materialize,
     max_element,
     min_element,
     normalize,
+    spiral_key,
 )
 from .sumsets import (
     Closed,
@@ -115,11 +115,7 @@ class HReport:
 
 
 # ---------------------------------------------------------------------------
-# ordering and sampling helpers
-
-
-def _spiral_key(x: int) -> tuple[int, bool]:
-    return (abs(x), x >= 0)
+# sampling helper
 
 
 def _sample_member(s: IntSet, window: Window) -> int | None:
@@ -131,7 +127,7 @@ def _sample_member(s: IntSet, window: Window) -> int | None:
     for _ in range(4):
         vals = materialize(s, Window(-r, r))
         if vals:
-            return min(vals, key=_spiral_key)
+            return min(vals, key=spiral_key)
         r *= 4
     lo = min_element(s)
     if lo is not None:
@@ -139,19 +135,11 @@ def _sample_member(s: IntSet, window: Window) -> int | None:
     return max_element(s)
 
 
-def _closed_witness(cert_set: IntSet, fold_set: IntSet, window: Window) -> int | None:
-    r = max(window.radius, 32)
-    for _ in range(3):
-        for a in range(r + 1):
-            for x in ((0,) if a == 0 else (-a, a)):
-                if contains(cert_set, x) and not contains(fold_set, x):
-                    return x
-        r *= 4
-    return None
-
-
 # ---------------------------------------------------------------------------
 # single-family verdicts
+
+# what a decision procedure settles: (status, witness, evidence)
+Outcome = tuple[str, object | None, str]
 
 
 def compute_H(
@@ -183,123 +171,90 @@ def _verdict_h(family: Family, h: int, cfg: HConfig) -> HVerdict:
                 empty = False
 
     if h == 1:
-        return HVerdict(
-            1,
+        outcome: Outcome = (
             CERTIFIED_IN,
             None,
             "1-fold sums are the sets themselves; the chain intersection "
             "matches by construction",
-            cfg.Q,
-            cfg.window,
-            sample if sample is not None else _sample_member(core, cfg.window),
-            isinstance(core, Empty) if empty is None else empty,
         )
-
-    radius = cfg.gen_radius
-    if radius is not None:
-        radius = max(radius, cfg.window.radius)
-    lhs = symbolic_hfold_sum(core, h, cfg.window, radius)
-    if cert is not None and cset is not None:
-        return _with_certificate(lhs, cset, cert.provenance, h, cfg, sample, empty)
-    return _empirical(family, h, cfg, sample, empty)
+        if sample is None:
+            sample = _sample_member(core, cfg.window)
+        if empty is None:
+            empty = isinstance(core, Empty)
+    elif cert is not None:
+        radius = cfg.gen_radius
+        if radius is not None:
+            radius = max(radius, cfg.window.radius)
+        lhs = symbolic_hfold_sum(core, h, cfg.window, radius)
+        outcome = _with_certificate(lhs, cset, cert.provenance, h, cfg.window)
+    else:
+        outcome = _empirical(family, h, cfg)
+    return HVerdict(h, *outcome, cfg.Q, cfg.window, sample, empty)
 
 
 def _with_certificate(
-    lhs: SumsetResult,
-    cset: IntSet,
-    provenance: str,
-    h: int,
-    cfg: HConfig,
-    sample: int | None,
-    empty: bool | None,
-) -> HVerdict:
+    lhs: SumsetResult, cset: IntSet, provenance: str, h: int, window: Window
+) -> Outcome:
     tag = f"[{provenance}]"
     if isinstance(lhs, Closed):
         fold = lhs.set
         if fold == cset or is_subset(cset, fold):
-            return HVerdict(
-                h,
+            return (
                 CERTIFIED_IN,
                 None,
                 f"closed {h}-fold sumset absorbs the intersection "
                 f"certificate {tag}",
-                cfg.Q,
-                cfg.window,
-                sample,
-                empty,
             )
-        w = _closed_witness(cset, fold, cfg.window)
+        # witnesses are searched well beyond the reporting window
+        r = 16 * max(window.radius, 32)
+        w = first_in_spiral(
+            lambda x: contains(cset, x) and not contains(fold, x), Window(-r, r)
+        )
         if w is not None:
-            return HVerdict(
-                h,
+            return (
                 CERTIFIED_OUT,
                 w,
                 f"{w} lies in the intersection certificate {tag} but not in "
                 f"the closed {h}-fold sumset",
-                cfg.Q,
-                cfg.window,
-                sample,
-                empty,
             )
-        return HVerdict(
-            h,
+        return (
             UNDETERMINED,
             None,
             f"certificate {tag} is not provably inside the closed sumset and "
             f"no witness was found in the search range",
-            cfg.Q,
-            cfg.window,
-            sample,
-            empty,
         )
 
     members = set(lhs.members)
     cmem = set(materialize(cset, lhs.window))
     stray = members - cmem
     if stray:
-        raise RuntimeError(
+        raise InvariantError(
             f"sumset members escape the intersection certificate {tag}: "
             f"{sorted(stray)[:5]}"
         )
-    extra = sorted(cmem - members, key=_spiral_key)
+    x = min(cmem - members, key=spiral_key, default=None)
     win = lhs.window
-    if extra:
-        x = extra[0]
+    if x is not None:
         if lhs.complete:
-            return HVerdict(
-                h,
+            return (
                 CERTIFIED_OUT,
                 x,
                 f"{x} lies in the intersection certificate {tag}; the "
                 f"{h}-fold enumeration on [{win.lo},{win.hi}] is complete "
                 f"(generation radius {lhs.generation_radius}) and omits it",
-                cfg.Q,
-                cfg.window,
-                sample,
-                empty,
             )
-        return HVerdict(
-            h,
+        return (
             UNDETERMINED,
             x,
             f"candidate witness {x} from the certificate {tag} is absent up "
             f"to generation radius {lhs.generation_radius}, but the "
             f"enumeration is not complete",
-            cfg.Q,
-            cfg.window,
-            sample,
-            empty,
         )
-    return HVerdict(
-        h,
+    return (
         EMPIRICAL_EQUAL,
         None,
         f"windowed {h}-fold sums match the certificate {tag} on "
         f"[{win.lo},{win.hi}]",
-        cfg.Q,
-        cfg.window,
-        sample,
-        empty,
     )
 
 
@@ -331,13 +286,7 @@ def truncated_layer_fold(
     return acc
 
 
-def _empirical(
-    family: Family,
-    h: int,
-    cfg: HConfig,
-    sample: int | None,
-    empty: bool | None,
-) -> HVerdict:
+def _empirical(family: Family, h: int, cfg: HConfig) -> Outcome:
     """Two-scale truncation comparison when no certificate exists."""
     core = normalize(family.intersection())
     passes = []
@@ -359,48 +308,34 @@ def _empirical(
         if missing and not isinstance(lhs, Closed):
             # windowed folds use per-layer radii at least as large as the
             # core's, so core sums can never outrun the layers
-            raise RuntimeError(
+            raise InvariantError(
                 f"core {h}-fold members escape a layer fold: "
                 f"{sorted(missing)[:5]}"
             )
-        passes.append((win, Q, sorted(trunc - left, key=_spiral_key), missing))
+        extra = min(trunc - left, key=spiral_key, default=None)
+        passes.append((win, Q, extra, missing))
 
     (w1, q1, d1, m1), (w2, q2, d2, m2) = passes
     if m1 or m2:
-        return HVerdict(
-            h,
+        return (
             UNDETERMINED,
             None,
             "closed core sums exceed the windowed layer folds; the "
             "generation radius is too small for this family",
-            cfg.Q,
-            cfg.window,
-            sample,
-            empty,
         )
-    if not d1 and not d2:
-        return HVerdict(
-            h,
+    if d1 is None and d2 is None:
+        return (
             EMPIRICAL_EQUAL,
             None,
             f"truncated layer intersections match the {h}-fold sumset at "
             f"(Q={q1}, [{w1.lo},{w1.hi}]) and (Q={q2}, [{w2.lo},{w2.hi}])",
-            cfg.Q,
-            cfg.window,
-            sample,
-            empty,
         )
-    cand = (d2 or d1)[0]
-    return HVerdict(
-        h,
+    cand = d1 if d2 is None else d2
+    return (
         UNDETERMINED,
         cand,
         f"{cand} persists in the depth-{q2} truncated intersection without "
         f"appearing in the {h}-fold sumset; no certificate to decide",
-        cfg.Q,
-        cfg.window,
-        sample,
-        empty,
     )
 
 
@@ -438,15 +373,11 @@ def transfer_affine(report: HReport, unit: int, shift: int) -> HReport:
         return unit * v + h * shift
 
     verdicts = tuple(
-        HVerdict(
-            v.h,
-            v.status,
-            move(v.witness, v.h),
-            f"{v.evidence} (transported through x -> {unit:+d}*x + {shift})",
-            v.Q,
-            v.window,
-            move(v.sample, v.h),
-            v.intersection_empty,
+        replace(
+            v,
+            witness=move(v.witness, v.h),
+            evidence=f"{v.evidence} (transported through x -> {unit:+d}*x + {shift})",
+            sample=move(v.sample, v.h),
         )
         for v in report.verdicts
     )
@@ -466,82 +397,58 @@ def _pair_verdict(va: HVerdict, vb: HVerdict) -> HVerdict:
     when it works for both components -- unless one component's layer-fold
     intersection is empty, which collapses both pair sets to nothing.
     """
-    h, Q, window = va.h, va.Q, va.window
+    sample = None
+    empty: bool | None = None
     if va.intersection_empty or vb.intersection_empty:
         empty_side = "left" if va.intersection_empty else "right"
-        return HVerdict(
-            h,
+        empty = True
+        outcome: Outcome = (
             CERTIFIED_IN,
             None,
             f"the {empty_side} component's layer-fold intersection is empty, "
             f"so the pair sumset and pair intersection both vanish",
-            Q,
-            window,
-            None,
-            True,
         )
+    else:
+        if va.sample is not None and vb.sample is not None:
+            sample = (va.sample, vb.sample)
+        if va.intersection_empty is False and vb.intersection_empty is False:
+            empty = False
+        outcome = _pair_outcome(va, vb)
+    return HVerdict(va.h, *outcome, va.Q, va.window, sample, empty)
 
-    sample = None
-    if va.sample is not None and vb.sample is not None:
-        sample = (va.sample, vb.sample)
-    empty: bool | None = None
-    if va.intersection_empty is False and vb.intersection_empty is False:
-        empty = False
 
+def _pair_outcome(va: HVerdict, vb: HVerdict) -> Outcome:
     a_out = va.status == CERTIFIED_OUT
     b_out = vb.status == CERTIFIED_OUT
     if a_out and b_out:
-        return HVerdict(
-            h,
+        return (
             CERTIFIED_OUT,
             (va.witness, vb.witness),
             "both components certified out; their witnesses pair up",
-            Q,
-            window,
-            sample,
-            empty,
         )
     if a_out or b_out:
         out_v, other = (va, vb) if a_out else (vb, va)
-        if other.sample is not None:
-            witness = (
-                (out_v.witness, other.sample)
-                if a_out
-                else (other.sample, out_v.witness)
+        if other.sample is None:
+            return (
+                UNDETERMINED,
+                None,
+                "one component is certified out but the partner side has no "
+                "certified member to embed the witness with",
             )
-            return HVerdict(
-                h,
-                CERTIFIED_OUT,
-                witness,
-                f"component witness {out_v.witness} embedded beside the "
-                f"certified partner member {other.sample}",
-                Q,
-                window,
-                sample,
-                empty,
-            )
-        return HVerdict(
-            h,
-            UNDETERMINED,
-            None,
-            "one component is certified out but the partner side has no "
-            "certified member to embed the witness with",
-            Q,
-            window,
-            sample,
-            empty,
+        witness = (
+            (out_v.witness, other.sample) if a_out else (other.sample, out_v.witness)
         )
-
+        return (
+            CERTIFIED_OUT,
+            witness,
+            f"component witness {out_v.witness} embedded beside the "
+            f"certified partner member {other.sample}",
+        )
     status = max(va.status, vb.status, key=_STRENGTH.__getitem__)
-    return HVerdict(
-        h,
+    return (
         status,
         None,
         f"componentwise conjunction (left {va.status}, right {vb.status})",
-        Q,
-        window,
-        sample,
-        empty,
     )
 
 
@@ -562,62 +469,18 @@ def transfer_product(report_a: HReport, report_b: HReport) -> HReport:
     )
 
 
-def _planar_fold(grid: np.ndarray, h: int) -> np.ndarray:
-    """h-fold Minkowski sum of a boolean coordinate grid, exact counts."""
-    size = [h * (n - 1) + 1 for n in grid.shape]
-    f = np.fft.rfft2(grid.astype(np.float64), s=size)
-    counts = np.fft.irfft2(f**h, s=size)
-    return counts > 0.5
-
-
-def _pair_identity_check(pf: ProductFamily, h_max: int, cfg: HConfig) -> None:
-    """Brute planar folds of sampled layer pairs against per-axis folds."""
-    r = min(12, cfg.window.radius)
-    win = Window(-r, r)
-    q_top = cfg.Q if pf.depth is None else min(cfg.Q, pf.depth)
-    qs = {q for q in (1, 2, q_top) if q <= q_top}
-    for q in sorted(qs):
-        av = materialize(normalize(pf.left.set_at(q)), win)
-        bv = materialize(normalize(pf.right.set_at(q)), win)
-        if not av or not bv:
-            continue
-        ga = np.zeros(2 * r + 1, dtype=bool)
-        gb = np.zeros(2 * r + 1, dtype=bool)
-        ga[[v + r for v in av]] = True
-        gb[[v + r for v in bv]] = True
-        grid = np.outer(ga, gb)
-        for h in range(2, h_max + 1):
-            planar = _planar_fold(grid, h)
-            rows = _planar_fold(ga[None, :], h)[0]
-            cols = _planar_fold(gb[None, :], h)[0]
-            if not np.array_equal(planar, np.outer(rows, cols)):
-                raise RuntimeError(
-                    f"planar {h}-fold of layer {q} is not the rectangle of "
-                    f"its component folds"
-                )
-
-
 def compute_H_product(
     pf: ProductFamily, h_max: int, config: HConfig | None = None
 ) -> HReport:
-    """Direct pair-family verdicts.
+    """Pair-family verdicts from the two component reports.
 
-    Component data is generated per axis and combined as rectangles; a
-    brute planar fold of sampled layers cross-checks that rectangle
-    structure before any verdict is issued.
+    h(A x B) = hA x hB for every pair of sets, so each component is
+    analysed on its own axis and the verdicts are paired by
+    transfer_product.
     """
-    if h_max < 1:
-        raise InputError(f"h_max must be >= 1, got {h_max}")
     cfg = config or HConfig()
-    _pair_identity_check(pf, min(h_max, 3), cfg)
-    verdicts = tuple(
-        _pair_verdict(_verdict_h(pf.left, h, cfg), _verdict_h(pf.right, h, cfg))
-        for h in range(1, h_max + 1)
-    )
-    return HReport(
-        kind=f"product({pf.left.kind},{pf.right.kind})",
-        config=cfg,
-        verdicts=verdicts,
+    return transfer_product(
+        compute_H(pf.left, h_max, cfg), compute_H(pf.right, h_max, cfg)
     )
 
 
@@ -738,11 +601,10 @@ def compare_scaled(
     cfg = config or HConfig()
     base = compute_H(family, h_max, cfg)
     k = abs(factor)
-    scaled_cfg = HConfig(
-        Q=cfg.Q,
+    scaled_cfg = replace(
+        cfg,
         window=cfg.window.scaled(k),
         gen_radius=None if cfg.gen_radius is None else cfg.gen_radius * k,
-        deep_scale=cfg.deep_scale,
     )
     scaled = compute_H(ScaledFamily(family, factor), h_max, scaled_cfg)
     return ScaledComparison(factor=factor, base=base, scaled=scaled)

@@ -8,7 +8,7 @@ import json
 import sys
 
 from .analyzer import HConfig, compute_H
-from .errors import CapError, InputError, NoClosedForm, ParseError
+from .errors import CapError, InputError, InvariantError, NoClosedForm, ParseError
 from .scenarios import (
     ScenarioOptions,
     format_result,
@@ -259,6 +259,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Shared exception types.
 
 InputError and its subclasses signal bad user input (CLI exit code 2),
-CapError signals a configured resource cap was hit (exit code 3).
+CapError signals a configured resource cap was hit (exit code 3), and
+InvariantError signals that an internal consistency check failed (exit
+code 4).
 """
 
 
@@ -23,6 +25,10 @@ class ParseError(InputError):
 
 class CapError(RuntimeError):
     """A configured size cap was exceeded."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed, so no verdict can be trusted."""
 
 
 class NoClosedForm(RuntimeError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import CapError, ConstructionError, InputError
 from .symbolic import (
@@ -20,10 +21,10 @@ from .symbolic import (
     Empty,
     Finite,
     IntSet,
-    Tail,
     Window,
     affine,
     bounds,
+    co_interval_bounds,
     cofinite,
     congruence,
     contains,
@@ -34,6 +35,8 @@ from .symbolic import (
     materialize,
     normalize,
     scale_set,
+    spiral,
+    spiral_key,
     tail,
     union,
 )
@@ -285,32 +288,22 @@ class EnumerationFamily(Family):
         # than it has returns all of them instead of searching for more
         if isinstance(self.core, Cofinite):
             pool = self.core.excluded
-        elif isinstance(self.core, Tail):
-            # the complement is (center - radius, center + radius); its
-            # first n points lie within n of its point nearest 0
-            a = self.core.center - self.core.radius + 1
-            b = self.core.center + self.core.radius - 1
+        elif (gap := co_interval_bounds(self.core)) is not None:
+            # the complement is the interval [a, b]; its first n points lie
+            # within n of its point nearest 0
+            a, b = gap
             near = min(max(0, a), b)
             pool = range(max(a, near - n), min(b, near + n) + 1)
         else:
-            return self._search_complement(n)
-        return sorted(pool, key=lambda v: (abs(v), v >= 0))[:n]
-
-    def _search_complement(self, n: int) -> list[int]:
-        out: list[int] = []
-        x = 0
-        while len(out) < n:
-            for cand in ((0,) if x == 0 else (-x, x)):
-                if not contains(self.core, cand):
-                    out.append(cand)
-                    if len(out) == n:
-                        break
-            x += 1
-            if x > self._SEARCH_CAP:
+            cap = Window(-self._SEARCH_CAP, self._SEARCH_CAP)
+            absent = (x for x in spiral(cap) if not contains(self.core, x))
+            out = list(islice(absent, n))
+            if len(out) < n:
                 raise CapError(
                     f"complement enumeration exceeded |a| <= {self._SEARCH_CAP}"
                 )
-        return out
+            return out
+        return sorted(pool, key=spiral_key)[:n]
 
     def set_at(self, q: int) -> IntSet:
         self._check_q(q)
@@ -505,7 +498,7 @@ def classify_monotonicity(
                 break
             gone = cur_m - nxt_m
             if gone:
-                witness = min(gone, key=lambda v: (abs(v), v >= 0))
+                witness = min(gone, key=spiral_key)
                 break
         checks.append(ChainCheck(q, certified or checked, certified, witness))
     decreasing = all(c.contained for c in checks)

@@ -70,6 +70,7 @@ from .symbolic import (
     congruence,
     contains,
     down_tail,
+    first_in_spiral,
     half_tail,
     is_infinite,
     materialize,
@@ -91,10 +92,6 @@ class Closed:
 
     set: IntSet
 
-    @property
-    def is_closed(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Windowed:
@@ -110,10 +107,6 @@ class Windowed:
     members: tuple[int, ...]
     generation_radius: int
     complete: bool
-
-    @property
-    def is_closed(self) -> bool:
-        return False
 
 
 SumsetResult = Closed | Windowed
@@ -536,16 +529,12 @@ def basis_order(
     for h in range(1, h_max + 1):
         r = gen_radius or default_radius(window, h)
         res = symbolic_hfold_sum(s, h, window, r)
+        missing = first_in_spiral(lambda x: query(res, x) != IN, window)
         if isinstance(res, Closed):
-            missing = _first_missing(res.set, window)
-            if missing is None:
-                verdicts.append(BasisVerdict(h, True, True, None, "closed form"))
-            else:
-                verdicts.append(BasisVerdict(h, False, True, missing, "closed form"))
-            continue
-        present = set(res.members)
-        missing = next((x for x in _spiral(window) if x not in present), None)
-        if missing is None:
+            verdicts.append(
+                BasisVerdict(h, missing is None, True, missing, "closed form")
+            )
+        elif missing is None:
             verdicts.append(BasisVerdict(h, True, True, None, f"all present (R={r})"))
         elif res.complete:
             verdicts.append(BasisVerdict(h, False, True, missing, f"complete (R={r})"))
@@ -561,15 +550,3 @@ def basis_order(
             certified = v.certified and all(u.certified for u in verdicts[: v.h - 1])
             break
     return BasisReport(tuple(verdicts), order, certified, window)
-
-
-def _first_missing(s: IntSet, window: Window) -> int | None:
-    for x in _spiral(window):
-        if not contains(s, x):
-            return x
-    return None
-
-
-def _spiral(window: Window) -> list[int]:
-    """Window points ordered by absolute value, negatives first on ties."""
-    return sorted(range(window.lo, window.hi + 1), key=lambda x: (abs(x), x >= 0))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,16 +121,37 @@ class Window:
         return Window(self.lo * k, self.hi * k)
 
 
+def spiral_key(x: int) -> tuple[int, bool]:
+    """Spiral order: by |x|, negatives first on ties."""
+    return (abs(x), x >= 0)
+
+
+def spiral(window: Window) -> Iterator[int]:
+    """The window's points in spiral order, lazily."""
+    lo, hi = window.lo, window.hi
+    if lo >= 0:
+        return iter(range(lo, hi + 1))
+    if hi <= 0:
+        return iter(range(hi, lo - 1, -1))
+    return (
+        x
+        for a in range(max(-lo, hi) + 1)
+        for x in ((0,) if a == 0 else (-a, a))
+        if lo <= x <= hi
+    )
+
+
+def first_in_spiral(pred: Callable[[int], bool], window: Window) -> int | None:
+    """The first window point in spiral order that satisfies pred."""
+    return next(filter(pred, spiral(window)), None)
+
+
 @dataclass(frozen=True)
 class Membership3:
     """Three-valued membership verdict: In, Out, or OutUpTo(search radius)."""
 
     kind: str  # 'in' | 'out' | 'out-up-to'
     radius: int = 0
-
-    @property
-    def is_in(self) -> bool:
-        return self.kind == "in"
 
 
 IN = Membership3("in")
@@ -314,6 +336,21 @@ def _co_interval(a: int, b: int) -> IntSet:
     return Union((Affine(-1, a - 1, HalfTail(0)), HalfTail(b + 1)))
 
 
+def co_interval_bounds(s: IntSet) -> tuple[int, int] | None:
+    """(a, b) when s is a shape _co_interval(a, b) returns for a <= b."""
+    if isinstance(s, Tail):
+        return (s.center - s.radius + 1, s.center + s.radius - 1)
+    if isinstance(s, Cofinite):
+        e = s.excluded
+        return (e[0], e[-1]) if e and e[-1] - e[0] + 1 == len(e) else None
+    if isinstance(s, Union) and len(s.parts) == 2:
+        down, up = s.parts
+        b = as_down_tail(down)
+        if b is not None and isinstance(up, HalfTail) and b + 1 < up.threshold:
+            return (b + 1, up.threshold - 1)
+    return None
+
+
 def _co_from_list(excluded) -> IntSet:
     e = tuple(sorted(set(excluded)))
     if not e:
@@ -340,7 +377,7 @@ def _co_desc(s: IntSet):
     if isinstance(s, Cofinite):
         return ("list", s.excluded)
     if isinstance(s, Tail):
-        a, b = s.center - s.radius + 1, s.center + s.radius - 1
+        a, b = co_interval_bounds(s)
         if b - a + 1 <= EXPAND_CAP:
             return ("list", tuple(range(a, b + 1)))
         return ("interval", a, b)
@@ -508,7 +545,7 @@ def count_in_interval(s: IntSet, a: int, b: int) -> int | None:
                 total += (b - first) // s.modulus + 1
         return total
     if isinstance(s, Tail):
-        lo_gap, hi_gap = s.center - s.radius + 1, s.center + s.radius - 1
+        lo_gap, hi_gap = co_interval_bounds(s)
         inside = max(0, min(b, hi_gap) - max(a, lo_gap) + 1)
         return (b - a + 1) - inside
     if isinstance(s, HalfTail):
@@ -644,7 +681,7 @@ def _normalize(s: IntSet) -> IntSet:
     if isinstance(s, Tail):
         if s.radius < 1:
             raise DomainError(f"tail radius must be >= 1, got {s.radius}")
-        return _co_interval(s.center - s.radius + 1, s.center + s.radius - 1)
+        return _co_interval(*co_interval_bounds(s))
     if isinstance(s, HalfTail):
         return s
     if isinstance(s, Affine):

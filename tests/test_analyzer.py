@@ -1,6 +1,8 @@
 """H-set reports: certificates, witnesses, transport, pullback, scaling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersets import (
     CERTIFIED_IN,
@@ -31,6 +33,7 @@ from intersets import (
     union,
     verify_out_witness,
 )
+from oracles import fold_values, lattice_fold
 
 FOURZ1 = union(congruence(4, (0,)), finite([1]))
 THREEZ1 = union(congruence(3, (0,)), finite([1]))
@@ -179,17 +182,37 @@ def test_product_direct_frozen():
     assert [v.intersection_empty for v in rep.verdicts] == [True, False, False]
 
 
+PRODUCT_PAIRS = [
+    (TailFamily(finite([0, 1])), TailFamily(EMPTY)),
+    (HalfTailFamily(finite([-2])), EnumerationFamily(finite([0, 1]))),
+    (CongruenceChainFamily((0, 1, 3), m1=7), TailFamily(FOURZ1)),
+    (EnumerationFamily(finite([0, 1, 5])), HalfTailFamily(EMPTY)),  # empty side
+    (TailFamily(THREEZ1), CongruenceChainFamily((0, 2), m1=5)),
+]
+
+
 def test_transfer_product_matches_direct():
-    left = TailFamily(finite([0, 1]))
-    right = TailFamily(EMPTY)
-    direct = compute_H(ProductFamily(left, right), 3)
-    stitched = transfer_product(compute_H(left, 3), compute_H(right, 3))
-    assert stitched.statuses == direct.statuses
-    assert [v.witness for v in stitched.verdicts] == [
-        v.witness for v in direct.verdicts
-    ]
+    for left, right in PRODUCT_PAIRS:
+        direct = compute_H(ProductFamily(left, right), 3)
+        stitched = transfer_product(compute_H(left, 3), compute_H(right, 3))
+        assert stitched.kind == direct.kind == f"product({left.kind},{right.kind})"
+        assert stitched.config == direct.config
+        # whole verdicts: statuses, witnesses, evidence, samples, emptiness
+        assert stitched.verdicts == direct.verdicts, (left.kind, right.kind)
     with pytest.raises(InputError):
         transfer_product(compute_H(left, 3), compute_H(right, 2))
+
+
+small_sets = st.sets(st.integers(-6, 6), max_size=4)
+
+
+@given(small_sets, small_sets, st.integers(1, 3))
+@settings(max_examples=80)
+def test_product_fold_is_rectangle_of_component_folds(a, b, h):
+    # h(A x B) = hA x hB, the identity the product verdicts rest on
+    pairs = {(x, y) for x in a for y in b}
+    rect = {(x, y) for x in fold_values(a, h) for y in fold_values(b, h)}
+    assert lattice_fold(pairs, h) == rect
 
 
 def test_product_empty_side_collapses():

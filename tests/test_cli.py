@@ -146,3 +146,27 @@ def test_repfn_cap_exit_code(capsys):
 
 def test_repfn_needs_target_or_window(capsys):
     assert main(["repfn", "--set", "finite:0,1", "--h", "2"]) == 2
+
+
+def test_invariant_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import intersets.analyzer as analyzer
+    from intersets.sumsets import Windowed
+
+    def every_point(s, h, window=None, gen_radius=None):
+        # a broken fold: claims every window point as an h-fold sum
+        return Windowed(window, tuple(range(window.lo, window.hi + 1)), 0, False)
+
+    monkeypatch.setattr(analyzer, "symbolic_hfold_sum", every_point)
+    # the half-tail certificate for h = 2 is {0, 1, 2}, so the fold escapes it
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "family": "half-tail",
+        "core": {"kind": "finite", "elements": ["0", "1"]},
+    }))
+    assert main(["hset", "--family", str(path), "--hmax", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violated: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+

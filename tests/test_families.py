@@ -140,6 +140,22 @@ def test_enumeration_exhausts_finite_complement(excluded, spiral):
     assert fam.set_at(len(spiral) + 3) == fam.intersection()
 
 
+@pytest.mark.parametrize(
+    "excluded, spiral",
+    [
+        # an even-length gap past the expansion cap normalizes to a union of
+        # a down-tail and a half-tail, not to a Tail
+        (range(2_000_000, 2_020_000), [2_000_000, 2_000_001, 2_000_002]),
+        (range(-2_020_000, -2_000_000), [-2_000_001, -2_000_002, -2_000_003]),
+        (range(-10_000, 10_002), [0, -1, 1]),
+    ],
+)
+def test_enumeration_wide_even_gap_core(excluded, spiral):
+    fam = EnumerationFamily(cofinite(excluded))
+    for q in range(1, len(spiral) + 2):
+        assert fam.set_at(q) == cofinite(spiral[: q - 1])
+
+
 def test_enumeration_wide_tail_core():
     fam = EnumerationFamily(tail(10**6, 10**6 - 5))
     assert fam.set_at(4) == cofinite([6, 7, 8])

@@ -29,6 +29,7 @@ from intersets import (
     union,
 )
 from intersets.symbolic import (
+    EXPAND_CAP,
     Affine,
     Cofinite,
     Congruence,
@@ -37,7 +38,13 @@ from intersets.symbolic import (
     Intersection,
     Tail,
     Union,
+    _co_interval,
+    co_interval_bounds,
+    first_in_spiral,
+    spiral,
+    spiral_key,
 )
+from oracles import spiral as oracle_spiral
 
 ints = st.integers(-30, 30)
 
@@ -185,3 +192,49 @@ def test_domain_gates():
         normalize(Affine(2, 0, HalfTail(0)))
     with pytest.raises(DomainError):
         scale_set(half_tail(0), 0)
+
+
+# -- spiral order -----------------------------------------------------------
+
+
+@given(st.integers(-40, 40), st.integers(0, 40))
+@settings(max_examples=150)
+def test_spiral_matches_oracle(lo, width):
+    win = Window(lo, lo + width)
+    expected = oracle_spiral(win)
+    assert list(spiral(win)) == expected
+    assert sorted(expected, key=spiral_key) == expected
+
+
+@given(st.integers(-40, 40), st.integers(0, 40), st.integers(1, 7), st.integers(0, 6))
+@settings(max_examples=100)
+def test_first_in_spiral_matches_oracle(lo, width, m, r):
+    win = Window(lo, lo + width)
+
+    def pred(x):
+        return x % m == r
+
+    expected = next((x for x in oracle_spiral(win) if pred(x)), None)
+    assert first_in_spiral(pred, win) == expected
+
+
+# -- excluded intervals -----------------------------------------------------
+
+
+@given(
+    st.integers(-3 * EXPAND_CAP, 3 * EXPAND_CAP),
+    st.one_of(st.integers(0, 12), st.integers(EXPAND_CAP - 2, 2 * EXPAND_CAP + 2)),
+)
+@settings(max_examples=150)
+def test_co_interval_bounds_round_trip(a, width):
+    b = a + width
+    s = _co_interval(a, b)
+    assert normalize(s) == s
+    assert co_interval_bounds(s) == (a, b)
+
+
+def test_co_interval_bounds_rejects_other_shapes():
+    assert co_interval_bounds(Cofinite((1, 3))) is None
+    assert co_interval_bounds(HalfTail(4)) is None
+    assert co_interval_bounds(normalize(congruence(3, (0,)))) is None
+    assert co_interval_bounds(ALL) is None
