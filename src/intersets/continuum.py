@@ -11,7 +11,7 @@ plus (sums of h perturbations) instead of tuples over the full point set.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -161,7 +161,10 @@ def verify_rational_theorem(
     folds (each layer admits zero-sum perturbations such as 1/q - 1/q and
     1/q - 1/(2q) - 1/(2q), which needs r_max >= 2Q), and that everything
     surviving lies within h/Q of a base sum.  All arithmetic is integer
-    on the common denominator lcm(1..r_max).
+    on the common denominator D = lcm(1..r_max): the window is scaled once
+    to the integer bounds ceil(lo*D) and floor(hi*D), each layer's fold
+    values are sorted and bisected per base sum, and a distance d/D is
+    tested against h/Q as d*Q > h*D.
     """
     if h < 2:
         raise InputError(f"h must be >= 2, got {h}")
@@ -178,7 +181,8 @@ def verify_rational_theorem(
         raise InputError(f"empty value window [{lo}, {hi}]")
 
     denom = math.lcm(*range(1, r_max + 1))
-    lo_s, hi_s = lo * denom, hi * denom
+    # sv + f is an integer, so it lies in [lo*D, hi*D] iff in [lo_s, hi_s]
+    lo_s, hi_s = math.ceil(lo * denom), math.floor(hi * denom)
     base = _base_sums(family.points, h, lo - h, hi + h)
     base_scaled = [int(s) * denom for s in base]
 
@@ -187,13 +191,11 @@ def verify_rational_theorem(
     prev: set[int] | None = None
     for q in range(1, Q + 1):
         offsets = _perturbation_offsets(q, r_max, denom, family.include_base)
-        folds = _fold_values(offsets, h)
-        layer = {
-            sv + f
-            for sv in base_scaled
-            for f in folds
-            if lo_s <= sv + f <= hi_s
-        }
+        folds = sorted(_fold_values(offsets, h))
+        layer: set[int] = set()
+        for sv in base_scaled:
+            i, j = bisect_left(folds, lo_s - sv), bisect_right(folds, hi_s - sv)
+            layer.update(map(sv.__add__, folds[i:j]))
         if prev is not None and not layer <= prev:
             monotone = False
         prev = layer
@@ -203,20 +205,19 @@ def verify_rational_theorem(
     in_window = [s for s in base_scaled if lo_s <= s <= hi_s]
     missing = [s for s in in_window if s not in intersection]
 
-    bound = Fraction(h, Q)
-    bound_scaled = bound * denom
-    max_dist: Fraction | None = None
+    # a distance d / D exceeds h / Q iff d * Q > h * D
+    limit = h * denom
+    max_dist: int | None = None
     violations = []
+    j, last = 0, len(base_scaled) - 1
     for x in sorted(intersection):
-        i = bisect_left(base_scaled, x)
-        best = min(
-            abs(x - base_scaled[j])
-            for j in (i - 1, i)
-            if 0 <= j < len(base_scaled)
-        )
-        if max_dist is None or best > max_dist * denom:
-            max_dist = Fraction(best, denom)
-        if best > bound_scaled:
+        # x only grows, so the nearest base sum never moves left
+        while j < last and base_scaled[j + 1] - x < x - base_scaled[j]:
+            j += 1
+        best = abs(x - base_scaled[j])
+        if max_dist is None or best > max_dist:
+            max_dist = best
+        if best * Q > limit:
             violations.append(Fraction(x, denom))
 
     return RationalTheoremReport(
@@ -228,8 +229,8 @@ def verify_rational_theorem(
         intersection_size=len(intersection),
         base_in_intersection=not missing,
         missing_base=tuple(Fraction(s, denom) for s in missing),
-        bound=bound,
-        max_distance=max_dist,
+        bound=Fraction(h, Q),
+        max_distance=None if max_dist is None else Fraction(max_dist, denom),
         bound_ok=not violations,
         violations=tuple(violations),
         monotone=monotone,

@@ -84,6 +84,9 @@ from .symbolic import (
 
 _FINITE_FOLD_CAP = 24
 _REP_RANGE_CAP = 400_000
+# (set, h) entries of the closed-fold memo: all 16 verify scenarios
+# together fill under 8,500
+_CLOSED_FOLD_CACHE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,21 @@ def members_in(result: SumsetResult, window: Window) -> set[int]:
 
 
 def sum2(x: IntSet, y: IntSet) -> IntSet | None:
-    """Exact Minkowski sum of two normalized sets, or None if no rule fires."""
+    """Exact Minkowski sum of two normalized sets, or None if no rule fires.
+
+    A union distributes first: A + (B | C) = (A + B) | (A + C).  When
+    exactly one operand is a Union of at most _FINITE_FOLD_CAP parts, the
+    sum is the union of the partner's sums with each part, provided every
+    part closes.  If one part does not close, the rules below run as if
+    the distribution had not been tried; two Unions are distributed only
+    after those rules.
+    """
     if isinstance(x, Empty) or isinstance(y, Empty):
         return EMPTY
+    if isinstance(x, Union) != isinstance(y, Union):
+        res = _distribute(x, y) if isinstance(x, Union) else _distribute(y, x)
+        if res is not None:
+            return res
     for a, b in ((x, y), (y, x)):
         if isinstance(a, Finite) and len(a.elements) <= _FINITE_FOLD_CAP:
             if isinstance(b, Finite):
@@ -161,17 +176,25 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
         g = math.gcd(x.modulus, y.modulus)
         sums = {(r1 + r2) % g for r1 in x.residues for r2 in y.residues}
         return congruence(g, sums)
-    for a, b in ((x, y), (y, x)):
-        if isinstance(a, Union) and len(a.parts) <= _FINITE_FOLD_CAP:
-            terms = []
-            for p in a.parts:
-                t = sum2(p, b)
-                if t is None:
-                    break
-                terms.append(t)
-            else:
-                return union(*terms)
+    if isinstance(x, Union) and isinstance(y, Union):
+        for a, b in ((x, y), (y, x)):
+            res = _distribute(a, b)
+            if res is not None:
+                return res
     return None
+
+
+def _distribute(u: Union, b: IntSet) -> IntSet | None:
+    """The union of sum2(p, b) over the parts p of u, or None if one fails."""
+    if len(u.parts) > _FINITE_FOLD_CAP:
+        return None
+    terms = []
+    for p in u.parts:
+        t = sum2(p, b)
+        if t is None:
+            return None
+        terms.append(t)
+    return union(*terms)
 
 
 def _sum_ray(ray: IntSet, b: IntSet) -> IntSet | None:
@@ -210,11 +233,10 @@ def symbolic_hfold_sum(
     if h < 1:
         raise DomainError(f"h must be >= 1, got {h}")
     s = normalize(s)
-    if h == 1:
-        return Closed(s)
     acc: IntSet | None = s
-    for _ in range(h - 1):
-        acc = sum2(acc, s)
+    # ascending h keeps _closed_fold's recursion one level deep
+    for k in range(2, h + 1):
+        acc = _closed_fold(s, k)
         if acc is None:
             break
     if acc is not None:
@@ -224,6 +246,17 @@ def symbolic_hfold_sum(
             "no closed-form rule applies; supply a window for enumeration"
         )
     return windowed_hfold_sum(s, h, window, gen_radius or default_radius(window, h))
+
+
+@lru_cache(maxsize=_CLOSED_FOLD_CACHE)
+def _closed_fold(s: IntSet, h: int) -> IntSet | None:
+    """The h-fold sum of a normalized set as (h-1)s + s, or None as soon as
+    one step closes by no rule.  Every truncation depth, and every h that
+    follows h - 1, reuses the folds already built for the same layer."""
+    if h == 1:
+        return s
+    prev = _closed_fold(s, h - 1)
+    return None if prev is None else sum2(prev, s)
 
 
 def default_radius(window: Window, h: int, q: int = 0) -> int:

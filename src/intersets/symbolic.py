@@ -26,6 +26,9 @@ EXPAND_CAP = 10_000
 LCM_CAP = 1_000_000
 MATERIALIZE_CAP = 2_000_000
 _DISTRIBUTE_CAP = 16
+# entries of the normalize memo: all 16 verify scenarios together fill
+# under 18,000
+_NORMALIZE_CACHE = 1 << 16
 
 
 class IntSet:
@@ -665,7 +668,7 @@ def normalize(s: IntSet) -> IntSet:
     return _normalize(s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_NORMALIZE_CACHE)
 def _normalize(s: IntSet) -> IntSet:
     if isinstance(s, Empty):
         return EMPTY

@@ -1,5 +1,6 @@
 """Rational perturbation layers and exact open-interval arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from intersets import (
     verify_open_theorem,
     verify_rational_theorem,
 )
+
+from oracles import fold_values
 
 
 # -- family construction ----------------------------------------------------
@@ -87,6 +90,60 @@ def test_rational_theorem_gates():
         verify_rational_theorem(fam, 2, 6, (0, 18), r_max=8)  # needs >= 2Q
     with pytest.raises(InputError):
         verify_rational_theorem(fam, 2, 6, (18, 0))
+
+
+def _naive_rational(fam, h, Q, window, r_max):
+    """The verifier's layer folds by plain Fraction filtering."""
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    denom = math.lcm(*range(1, r_max + 1))
+    lo_s, hi_s = lo * denom, hi * denom
+    base = sorted(v for v in fold_values(fam.points, h) if lo - h <= v <= hi + h)
+    base_scaled = [v * denom for v in base]
+    intersection, prev, monotone = None, None, True
+    for q in range(1, Q + 1):
+        offs = {denom // r for r in range(q, r_max + 1)}
+        offs |= {-o for o in offs} | ({0} if fam.include_base else set())
+        folds = fold_values(offs, h)
+        layer = {
+            sv + f
+            for sv in base_scaled
+            for f in folds
+            if lo_s <= sv + f <= hi_s
+        }
+        if prev is not None and not layer <= prev:
+            monotone = False
+        prev = layer
+        intersection = layer if intersection is None else intersection & layer
+    missing = [v for v in base_scaled if lo_s <= v <= hi_s and v not in intersection]
+    dists = {x: min(abs(Fraction(x - b, denom)) for b in base_scaled) for x in intersection}
+    return {
+        "intersection_size": len(intersection),
+        "max_distance": max(dists.values(), default=None),
+        "violations": tuple(
+            Fraction(x, denom) for x in sorted(dists) if dists[x] > Fraction(h, Q)
+        ),
+        "missing_base": tuple(Fraction(v, denom) for v in missing),
+        "monotone": monotone,
+    }
+
+
+@pytest.mark.parametrize("include_base", [False, True])
+@pytest.mark.parametrize("h, Q", [(2, 5), (3, 7)])
+@pytest.mark.parametrize(
+    "window",
+    [
+        (0, 40),
+        # 38/5 = 2 * (4 - 1/5) and 121/5 = 2 * 12 + 1/5 are fold values, so
+        # both closed ends are hit; the narrow window holds no base sum
+        (Fraction(38, 5), Fraction(121, 5)),
+        (Fraction(37, 3), Fraction(38, 3)),
+    ],
+)
+def test_rational_theorem_matches_naive_folds(include_base, h, Q, window):
+    fam = RationalPerturbFamily((4, 8, 12, 16), include_base=include_base, r_max=14)
+    rep = verify_rational_theorem(fam, h, Q, window)
+    naive = _naive_rational(fam, h, Q, window, 14)
+    assert {k: getattr(rep, k) for k in naive} == naive
 
 
 # -- interval unions --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every registered verification scenario passes at its default settings."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,17 @@ def test_scenario_passes_at_defaults(sid):
     assert res.scenario == sid
     passed, total = res.counts
     assert passed == total > 0
+
+
+# result_to_json of every scenario at seed 0: a change to any verdict or
+# evidence string fails here instead of passing unnoticed
+GOLDEN = Path(__file__).parent / "golden" / "verify-seed0.json"
+
+
+@pytest.mark.parametrize("sid", sorted(EXPECTED_IDS))
+def test_scenario_json_matches_golden(sid):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert result_to_json(run_scenario(sid, ScenarioOptions(seed=0))) == golden[sid]
 
 
 def test_result_formats():

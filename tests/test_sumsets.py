@@ -16,9 +16,11 @@ from intersets import (
     Window,
     cofinite,
     congruence,
+    down_tail,
     finite,
     half_tail,
     intersect,
+    materialize,
     tail,
     union,
 )
@@ -86,6 +88,81 @@ def test_finite_folds_match_brute_force(xs, h):
     assert members_in(r, win) == {
         v for v in fold_values(xs, h) if win.lo <= v <= win.hi
     }
+
+
+# -- union distribution in sum2 ---------------------------------------------
+
+_atoms = st.one_of(
+    st.lists(st.integers(-10, 10), min_size=1, max_size=6).map(finite),
+    st.integers(-10, 10).map(half_tail),
+    st.integers(-10, 10).map(down_tail),
+    st.integers(1, 5).flatmap(
+        lambda m: st.sets(st.integers(0, m - 1), min_size=1).map(
+            lambda rs: congruence(m, rs)
+        )
+    ),
+)
+_unions = st.lists(_atoms, min_size=2, max_size=3).map(lambda ps: union(*ps))
+
+
+@given(_unions, st.one_of(_atoms, _unions))
+@settings(max_examples=150)
+def test_sum2_over_unions_matches_pairwise_sums(x, y):
+    # every feature sits in [-10, 10] and every modulus is at most 5, so a
+    # sum in [-20, 20] has a representation with both summands within 80
+    r = sumsets.sum2(x, y)
+    if r is None:
+        return
+    win, radius = Window(-20, 20), 80
+    xs = materialize(x, Window(-radius, radius))
+    ys = materialize(y, Window(-radius, radius))
+    brute = {a + b for a in xs for b in ys if win.lo <= a + b <= win.hi}
+    assert set(materialize(r, win)) == brute
+
+
+def test_sum2_falls_back_when_a_union_part_does_not_close():
+    big = finite(range(0, 100, 4))  # one element above the Finite-rule cap
+    assert len(big.elements) == sumsets._FINITE_FOLD_CAP + 1
+    x = union(big, congruence(4, (1,)))
+    assert isinstance(x, Union)
+    # the big Finite part has no rule with these partners, so distributing
+    # fails and the earlier rules decide as before: a cofinite class
+    # absorbs the infinite union, and a congruence partner stays open
+    for partner, expect in ((cofinite([0, 5]), ALL), (tail(0, 3), ALL),
+                            (congruence(3, (0,)), None)):
+        assert sumsets._distribute(x, partner) is None
+        assert sumsets.sum2(x, partner) == expect
+        assert sumsets.sum2(partner, x) == expect
+
+
+# -- incremental fold memo --------------------------------------------------
+
+
+def test_closed_fold_memo_reuses_folds(monkeypatch):
+    calls = []
+    real = sumsets.sum2
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    # recursive calls inside sum2 resolve the module global, so they count
+    monkeypatch.setattr(sumsets, "sum2", counted)
+    s = union(finite([0, 3, 7, 12]), half_tail(20))
+
+    sumsets._closed_fold.cache_clear()
+    first = symbolic_hfold_sum(s, 4)
+    cold = len(calls)
+    assert cold > 0
+    calls.clear()
+    assert symbolic_hfold_sum(s, 4) == first
+    assert calls == []
+
+    sumsets._closed_fold.cache_clear()
+    symbolic_hfold_sum(s, 3)
+    calls.clear()
+    assert symbolic_hfold_sum(s, 4) == first
+    assert 0 < len(calls) < cold
 
 
 # -- windowed enumeration ---------------------------------------------------
