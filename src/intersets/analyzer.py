@@ -12,6 +12,7 @@ element of C missing from hA is a one-point disproof.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .errors import InputError, InvariantError
@@ -127,7 +128,10 @@ def _sample_member(s: IntSet, window: Window) -> int | None:
     for _ in range(4):
         vals = materialize(s, Window(-r, r))
         if vals:
-            return min(vals, key=spiral_key)
+            # vals is sorted: the first in spiral order is one of the two
+            # members nearest to 0 from either side
+            i = bisect_left(vals, 0)
+            return min(vals[max(i - 1, 0) : i + 1], key=spiral_key)
         r *= 4
     lo = min_element(s)
     if lo is not None:

@@ -23,8 +23,14 @@ operand's popcount p:
   context whose precision covers every product and which traps Inexact
   and Rounded, so a rounding could only raise, never pass silently.
 
-Bitsets are built from a flag bytearray and read back from one binary
-string, each in a single pass.  This path needs only the standard library.
+The operand bitset comes straight from the set's term
+(`symbolic.window_bits`: masks for tails and rays, a doubled period for a
+congruence, OR and AND for unions and intersections), never from a list
+of members.  Its empty span below the smallest member is shifted off
+before folding, so every fold covers only the span the set occupies, and
+the window is read back against h times that smallest member from one
+binary string in a single pass.  This path needs only the standard
+library.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from .symbolic import (
     OUT,
     as_down_tail,
     bounds,
+    check_cap,
     congruence,
     contains,
     down_tail,
@@ -80,6 +87,7 @@ from .symbolic import (
     out_up_to,
     shift,
     union,
+    window_bits,
 )
 
 _FINITE_FOLD_CAP = 24
@@ -161,6 +169,9 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
                 return normalize(
                     Finite(tuple({e + f for e in a.elements for f in b.elements}))
                 )
+            if isinstance(b, HalfTail) or as_down_tail(b) is not None:
+                # the union of the shifted rays is the ray from min/max F
+                return _sum_ray(b, a)
             return union(*(shift(b, e) for e in a.elements))
     for a, b in ((x, y), (y, x)):
         # a cofinite class absorbs any infinite partner
@@ -279,7 +290,6 @@ _EXACT = Context(
     traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
 )
 _NONZERO_DIGIT = str.maketrans("23456789", "11111111")
-_FLAG_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -292,12 +302,15 @@ def _conv(bits_a: int, bits_b: int) -> int:
     if popcount >= _KRONECKER_MIN_POPCOUNT:
         return _conv_kronecker(bits_a, bits_b, popcount)
     out = 0
-    x = bits_a
-    while x:
-        low = x & -x
-        out |= bits_b << (low.bit_length() - 1)
-        x ^= low
+    flags = _flags(bits_a)
+    for i in compress(range(len(flags)), flags):
+        out |= bits_b << i
     return out
+
+
+def _flags(bits: int) -> bytes:
+    """Byte i is 1 when bit i of bits is set, else 0, from one bin() pass."""
+    return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
 
 
 def _conv_kronecker(bits_a: int, bits_b: int, popcount: int) -> int:
@@ -324,35 +337,32 @@ def windowed_hfold_sum(
             f"generation radius {gen_radius} is below the window radius "
             f"{window.radius}"
         )
-    s = normalize(s)
     r = gen_radius
-    values = materialize(s, Window(-r, r))
-    if not values:
+    check_cap(Window(-r, r))
+    s = normalize(s)
+    bits = window_bits(s, -r, r)
+    if not bits:
         return Windowed(window, (), r, isinstance(s, Empty))
-    flags = bytearray(2 * r + 1)
-    for v in values:
-        flags[v + r] = 1
-    bits = int(flags[::-1].translate(_FLAG_TO_DIGIT), 2)
-    acc_bits, acc_off = None, 0
-    base_bits, base_off = bits, r
+    # fold only the occupied span: bit k now marks v0 + k, where v0 is the
+    # smallest member within the generation radius
+    zeros = (bits & -bits).bit_length() - 1
+    bits >>= zeros
+    v0 = zeros - r
+    acc = None
     e = h
     while True:
         if e & 1:
-            if acc_bits is None:
-                acc_bits, acc_off = base_bits, base_off
-            else:
-                acc_bits = _conv(acc_bits, base_bits)
-                acc_off += base_off
+            acc = bits if acc is None else _conv(acc, bits)
         e >>= 1
         if not e:
             break
-        base_bits = _conv(base_bits, base_bits)
-        base_off *= 2
-    # bit i of seg marks the point window.lo + i; the shift is never
-    # negative, since acc_off = h * r and the radius gate keeps lo >= -r
-    seg = (acc_bits >> (window.lo + acc_off)) & ((1 << window.size) - 1)
-    present = bin(seg)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
-    members = tuple(compress(range(window.lo, window.hi + 1), present))
+        bits = _conv(bits, bits)
+    # bit k of acc marks h * v0 + k; the window may begin left of that
+    start = max(window.lo, h * v0)
+    members = ()
+    if start <= window.hi:
+        seg = (acc >> (start - h * v0)) & ((1 << (window.hi - start + 1)) - 1)
+        members = tuple(compress(range(start, window.hi + 1), _flags(seg)))
     return Windowed(window, members, r, _complete(s, h, window, r))
 
 

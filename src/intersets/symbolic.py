@@ -1085,12 +1085,17 @@ def _reduce_half_co(t: int, d) -> IntSet | None:
 # materialization
 
 
-def materialize(s: IntSet, window: Window, cap: int = MATERIALIZE_CAP) -> list[int]:
-    """Sorted members of s within the window; exact."""
+def check_cap(window: Window, cap: int = MATERIALIZE_CAP) -> None:
+    """Raise CapError when the window holds more than cap points."""
     if window.size > cap:
         raise CapError(
             f"window of size {window.size} exceeds materialization cap {cap}"
         )
+
+
+def materialize(s: IntSet, window: Window, cap: int = MATERIALIZE_CAP) -> list[int]:
+    """Sorted members of s within the window; exact."""
+    check_cap(window, cap)
     return _materialize(s, window.lo, window.hi)
 
 
@@ -1141,6 +1146,89 @@ def _materialize(s: IntSet, lo: int, hi: int) -> list[int]:
             if all(contains(p, v) for p in rest)
         ]
     raise TypeError(f"not an IntSet: {s!r}")
+
+
+def window_bits(s: IntSet, lo: int, hi: int) -> int:
+    """The members of s within [lo, hi] as an int whose bit i marks lo + i.
+
+    The same membership as `materialize`, built shape by shape from masks:
+    only the listed points of a Finite or Cofinite are set one by one, and
+    no cost grows with a congruence's modulus.  No cap is checked here.
+    """
+    if lo > hi or isinstance(s, Empty):
+        return 0
+    n = hi - lo + 1
+    if isinstance(s, Finite):
+        i, j = bisect_left(s.elements, lo), bisect_right(s.elements, hi)
+        return _bits_at([x - lo for x in s.elements[i:j]], n)
+    if isinstance(s, Cofinite):
+        i, j = bisect_left(s.excluded, lo), bisect_right(s.excluded, hi)
+        return _run(0, n, n) & ~_bits_at([x - lo for x in s.excluded[i:j]], n)
+    if isinstance(s, Congruence):
+        return _congruence_bits(s, lo, n)
+    if isinstance(s, Tail):
+        c, r = s.center, s.radius
+        return _run(0, c - r + 1 - lo, n) | _run(c + r - lo, n, n)
+    if isinstance(s, HalfTail):
+        return _run(s.threshold - lo, n, n)
+    if (b := as_down_tail(s)) is not None:
+        return _run(0, b + 1 - lo, n)
+    if isinstance(s, Affine):
+        if s.unit == 1:
+            return window_bits(s.inner, lo - s.shift, hi - s.shift)
+        # bit i of the inner window marks shift - hi + i, which is hi - i
+        inner = window_bits(s.inner, s.shift - hi, s.shift - lo)
+        return int(format(inner, f"0{n}b")[::-1], 2)
+    if isinstance(s, Union):
+        out = 0
+        for p in s.parts:
+            out |= window_bits(p, lo, hi)
+        return out
+    if isinstance(s, Intersection):
+        out = _run(0, n, n)
+        for p in s.parts:
+            out &= window_bits(p, lo, hi)
+            if not out:
+                break
+        return out
+    raise TypeError(f"not an IntSet: {s!r}")
+
+
+def _run(a: int, b: int, n: int) -> int:
+    """Bits a..b-1 of an n-bit window, clamped to it."""
+    a, b = max(a, 0), min(b, n)
+    return ((1 << b) - 1) & ~((1 << a) - 1) if a < b else 0
+
+
+def _bits_at(positions: list[int], n: int) -> int:
+    """An n-bit int with the given bits set, in one pass: OR-ing bit by
+    bit would copy the whole int once per position."""
+    if not positions:
+        return 0
+    buf = bytearray((n + 7) >> 3)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _congruence_bits(c: Congruence, lo: int, n: int) -> int:
+    m, res = c.modulus, c.residues
+    if m >= n:
+        # each residue meets the window at most once, at offset (r - lo) % m:
+        # bisect the residues in [a, a + n) and, wrapped, in [0, a + n - m)
+        a = lo % m
+        i, j = bisect_left(res, a), bisect_left(res, a + n)
+        wrap = bisect_left(res, a + n - m)
+        return _bits_at(
+            [r - a for r in res[i:j]] + [r + m - a for r in res[:wrap]], n
+        )
+    # one period, doubled until it covers the window
+    out = _bits_at([(r - lo) % m for r in res], m)
+    width = m
+    while width < n:
+        out |= out << width
+        width *= 2
+    return out & ((1 << n) - 1)
 
 
 def intersect_truncated(sets, window: Window | None = None) -> IntSet:

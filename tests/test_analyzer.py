@@ -18,12 +18,16 @@ from intersets import (
     ProductFamily,
     TailFamily,
     HalfTailFamily,
+    ScaledFamily,
     Window,
     compare_scaled,
     compute_H,
     compute_H_product,
     congruence,
+    contains,
+    down_tail,
     finite,
+    half_tail,
     materialize,
     pullback_check,
     symbolic_hfold_sum,
@@ -33,7 +37,8 @@ from intersets import (
     union,
     verify_out_witness,
 )
-from oracles import fold_values, lattice_fold
+from intersets.analyzer import _sample_member
+from oracles import fold_values, lattice_fold, spiral
 
 FOURZ1 = union(congruence(4, (0,)), finite([1]))
 THREEZ1 = union(congruence(3, (0,)), finite([1]))
@@ -285,3 +290,40 @@ def test_compare_scaled_frozen():
             [v.witness for v in cmp.base.verdicts]] == [
         v.witness for v in cmp.scaled.verdicts
     ]
+
+
+# -- sample members ---------------------------------------------------------
+
+# every shape has a member within 3,000 of 0, inside _sample_member's widest
+# scan of radius 64 * 4**3
+_sample_atoms = st.one_of(
+    st.lists(st.integers(-3000, 3000), min_size=1, max_size=4).map(finite),
+    st.integers(-3000, 3000).map(half_tail),
+    st.integers(-3000, 3000).map(down_tail),
+    st.tuples(st.integers(1, 40), st.integers(0, 39)).map(
+        lambda t: congruence(t[0], (t[1] % t[0],))
+    ),
+)
+
+
+@given(
+    st.lists(_sample_atoms, min_size=1, max_size=3).map(lambda ps: union(*ps)),
+    st.integers(0, 64),
+    st.integers(0, 64),
+)
+@settings(max_examples=100)
+def test_sample_member_matches_oracle_spiral(s, left, right):
+    expected = next(x for x in spiral(Window(-4096, 4096)) if contains(s, x))
+    assert _sample_member(s, Window(-left, right)) == expected
+
+
+def test_scaled_congruence_chain_completes():
+    # layer q is a congruence mod 3 * 17 * 3**(q - 1), 111,537 at Q = 8:
+    # far wider than the window
+    fam = ScaledFamily(CongruenceChainFamily((0, 1, 5), m1=17, ratio=3), 3)
+    assert compute_H(fam, 4).statuses == (
+        CERTIFIED_IN,
+        EMPIRICAL_EQUAL,
+        EMPIRICAL_EQUAL,
+        EMPIRICAL_EQUAL,
+    )

@@ -21,11 +21,13 @@ from intersets import (
     half_tail,
     intersect,
     materialize,
+    scale_set,
+    shift,
     tail,
     union,
 )
 from intersets import sumsets
-from intersets.symbolic import IN, OUT, out_up_to
+from intersets.symbolic import IN, MATERIALIZE_CAP, OUT, out_up_to
 from intersets.sumsets import (
     Closed,
     Windowed,
@@ -165,6 +167,23 @@ def test_closed_fold_memo_reuses_folds(monkeypatch):
     assert 0 < len(calls) < cold
 
 
+def test_sum2_finite_plus_ray_makes_no_shifts(monkeypatch):
+    fin = finite([-4, 0, 7])
+    rays = (half_tail(3), down_tail(-2))
+    # the Finite rule's former answer: the union of the shifted rays
+    before = {ray: union(*(shift(ray, e) for e in (-4, 0, 7))) for ray in rays}
+    calls = []
+    monkeypatch.setattr(
+        sumsets, "shift", lambda *a: calls.append(a) or shift(*a)
+    )
+    for ray in rays:
+        assert sumsets.sum2(fin, ray) == before[ray]
+        assert sumsets.sum2(ray, fin) == before[ray]
+    assert before[rays[0]] == half_tail(-1)
+    assert before[rays[1]] == down_tail(5)
+    assert calls == []
+
+
 # -- windowed enumeration ---------------------------------------------------
 
 SAMPLES = [
@@ -185,6 +204,29 @@ def test_windowed_matches_brute_force(s, h):
     assert set(got.members) == windowed_fold(s, h, win, r)
 
 
+# dilated sets as scaled families build them; the windows include ones that
+# begin left of h times the smallest member of a bounded-below set
+DILATED = [
+    scale_set(finite([1, 4, 5]), 3),
+    scale_set(half_tail(2), 2),
+    scale_set(down_tail(-1), 3),
+    scale_set(union(congruence(5, (1,)), finite([0])), -2),
+    scale_set(cofinite([0, 1]), 3),
+    scale_set(tail(1, 3), 2),
+    # a modulus far wider than every generation window
+    scale_set(union(congruence(10**9, (2,)), finite([-3])), 3),
+]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_windowed_matches_oracle_on_dilated_sets(h):
+    for s in DILATED:
+        for win in (Window(-30, 30), Window(-45, 8), Window(7, 40)):
+            r = default_radius(win, h)
+            got = windowed_hfold_sum(s, h, win, r)
+            assert list(got.members) == sorted(windowed_fold(s, h, win, r))
+
+
 def test_windowed_completeness_flags():
     win = Window(-10, 10)
     # half-tail: bounded below, far sums leave the window
@@ -203,6 +245,10 @@ def test_windowed_gates():
         windowed_hfold_sum(half_tail(0), 2, Window(-10, 10), 5)
     with pytest.raises(DomainError):
         windowed_hfold_sum(half_tail(0), 0, Window(-10, 10), 40)
+    # the generation window is capped before any set is built
+    size = 2 * MATERIALIZE_CAP + 1
+    with pytest.raises(CapError, match=f"window of size {size} exceeds"):
+        windowed_hfold_sum(half_tail(0), 2, Window(-10, 10), MATERIALIZE_CAP)
 
 
 def test_query_three_valued():

@@ -1,6 +1,6 @@
 """Term language invariants: normalization, membership, subset soundness."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -43,6 +43,7 @@ from intersets.symbolic import (
     first_in_spiral,
     spiral,
     spiral_key,
+    window_bits,
 )
 from oracles import spiral as oracle_spiral
 
@@ -238,3 +239,57 @@ def test_co_interval_bounds_rejects_other_shapes():
     assert co_interval_bounds(HalfTail(4)) is None
     assert co_interval_bounds(normalize(congruence(3, (0,)))) is None
     assert co_interval_bounds(ALL) is None
+
+
+# -- window bitsets ---------------------------------------------------------
+
+# moduli past every window below; residues near 0 mod m, so that members
+# still fall inside the windows
+wide_congruences = st.integers(100, 10**6).flatmap(
+    lambda m: st.lists(st.integers(-120, 120), min_size=1, max_size=3).map(
+        lambda rs: Congruence(m, _srt(r % m for r in rs))
+    )
+)
+kernel_leaves = st.one_of(
+    base_sets, wide_congruences, st.integers(-10, 10).map(down_tail)
+)
+kernel_terms = st.recursive(
+    kernel_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda ps: Union(tuple(ps))),
+        st.lists(kids, min_size=1, max_size=3).map(
+            lambda ps: Intersection(tuple(ps))
+        ),
+        st.tuples(st.sampled_from((1, -1)), st.integers(-8, 8), kids).map(
+            lambda t: Affine(t[0], t[1], t[2])
+        ),
+    ),
+    max_leaves=5,
+)
+# dilations by 2, 3 and -2 produce the Intersection and Affine shapes of
+# scaled families
+kernel_sets = st.tuples(kernel_terms, st.sampled_from((1, 2, 3, -2))).map(
+    lambda t: t[0] if t[1] == 1 else scale_set(t[0], t[1])
+)
+
+
+@given(kernel_sets, st.integers(-100, 100), st.integers(0, 80))
+@example(Finite((-3, 4)), 5, 20)  # window right of 0
+@example(HalfTail(-4), -30, 12)  # window left of 0
+@example(scale_set(Congruence(4, (1,)), 3), 9, 0)  # one-point windows
+@example(scale_set(Congruence(4, (1,)), 3), 10, 0)
+@settings(max_examples=300)
+def test_window_bits_lists_materialize(s, lo, width):
+    hi = lo + width
+    bits = window_bits(s, lo, hi)
+    assert 0 <= bits < 1 << (width + 1)
+    got = [lo + i for i in range(width + 1) if bits >> i & 1]
+    assert got == materialize(s, Window(lo, hi))
+
+
+def test_window_bits_ignores_the_modulus_size():
+    # raw shapes: normalize would factor the modulus first
+    assert window_bits(Congruence(10**18, (5,)), -100, 100) == 1 << 105
+    # a residue just below the modulus is the point -3
+    assert window_bits(Congruence(10**18, (10**18 - 3,)), -100, 100) == 1 << 97
+    assert window_bits(Congruence(10**18, (200,)), -100, 100) == 0
