@@ -12,7 +12,6 @@ element of C missing from hA is a one-point disproof.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .errors import InputError, InvariantError
@@ -23,6 +22,7 @@ from .symbolic import (
     Empty,
     IntSet,
     Window,
+    check_cap,
     congruence,
     contains,
     first_in_spiral,
@@ -32,6 +32,7 @@ from .symbolic import (
     min_element,
     normalize,
     spiral_key,
+    window_bits,
 )
 from .sumsets import (
     Closed,
@@ -126,12 +127,15 @@ def _sample_member(s: IntSet, window: Window) -> int | None:
         return None
     r = max(window.radius, 64)
     for _ in range(4):
-        vals = materialize(s, Window(-r, r))
-        if vals:
-            # vals is sorted: the first in spiral order is one of the two
-            # members nearest to 0 from either side
-            i = bisect_left(vals, 0)
-            return min(vals[max(i - 1, 0) : i + 1], key=spiral_key)
+        check_cap(Window(-r, r))
+        bits = window_bits(s, -r, r)
+        if bits:
+            # bit r marks 0: the nearest members are the lowest set bit at
+            # or above it and the highest below it; ties go to the negative
+            above, below = bits >> r, bits & ((1 << r) - 1)
+            up = (above & -above).bit_length() - 1
+            down = r + 1 - below.bit_length()
+            return -down if below and (not above or down <= up) else up
         r *= 4
     lo = min_element(s)
     if lo is not None:

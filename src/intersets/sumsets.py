@@ -92,6 +92,9 @@ from .symbolic import (
 
 _FINITE_FOLD_CAP = 24
 _REP_RANGE_CAP = 400_000
+# largest |target| of a multiplicative count or product window: divisors
+# are found by trial division up to sqrt(|target|)
+_MULT_TARGET_CAP = 10**10
 # (set, h) entries of the closed-fold memo: all 16 verify scenarios
 # together fill under 8,500
 _CLOSED_FOLD_CACHE = 1 << 14
@@ -417,6 +420,13 @@ def representation_count(
     return _rep_add(s, h, x, gen_radius)
 
 
+def _check_mult_target(v: int) -> None:
+    if abs(v) > _MULT_TARGET_CAP:
+        raise CapError(
+            f"multiplicative target {v} exceeds the cap {_MULT_TARGET_CAP}"
+        )
+
+
 def _signed_divisors(v: int) -> tuple[int, ...]:
     n = abs(v)
     ds = []
@@ -435,6 +445,7 @@ def _rep_mult(s: IntSet, h: int, x: int) -> RepCount:
         raise DomainError("multiplicative counts require a set avoiding 0")
     if x == 0:
         raise DomainError("multiplicative counts are defined for nonzero targets")
+    _check_mult_target(x)
 
     @lru_cache(maxsize=None)
     def count(k: int, v: int) -> int:
@@ -513,6 +524,7 @@ def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
     s = normalize(s)
     if contains(s, 0):
         raise DomainError("product sets require a set avoiding 0")
+    _check_mult_target(window.radius)
 
     memo: dict[tuple[int, int], bool] = {}
 

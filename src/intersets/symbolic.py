@@ -405,22 +405,30 @@ def _desc_size(d) -> int:
 
 
 def _primitive_congruence(m: int, residues) -> IntSet:
-    """Reduce residues to the smallest representing modulus."""
+    """Reduce residues to the smallest representing modulus.
+
+    If a shift d fixes the residue set mod m, the set is a union of cosets
+    of the subgroup generated by d, whose order is m/d: so m/d divides both
+    m and |res|.  Only the repeat counts e dividing g = gcd(m, |res|) are
+    tried, largest first.  The counts that work are the divisors of the
+    largest one, so the first hit gives the smallest period m/e.  Only g is
+    factored, never m: the cost is O(|res|) per divisor of g, at most
+    O(|res|) times the number of divisors of |res|.
+    """
     res = tuple(sorted({r % m for r in residues}))
     if not res:
         return EMPTY
-    if m == 1 or len(res) == m:
+    n = len(res)
+    if n == m:
         return ALL
-    for d in _divisors(m):
-        if d == m:
+    for e in reversed(_divisors(math.gcd(m, n))):
+        if e == 1:
             break
-        step = {(r + d) % m for r in res}
-        if step == set(res):
-            low = tuple(sorted({r % d for r in res}))
-            if len(res) == len(low) * (m // d):
-                if d == 1 or len(low) == d:
-                    return ALL
-                return Congruence(d, low)
+        d, k = m // e, n // e
+        # sorted and reduced, the set is fixed by +d (mod m) exactly when
+        # each residue past the first k is d above the one k places back
+        if all(b - a == d for a, b in zip(res, res[k:])):
+            return Congruence(d, res[:k])
     return Congruence(m, res)
 
 

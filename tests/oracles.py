@@ -6,7 +6,8 @@ materialized elements, no bitsets, no closed forms.
 
 from itertools import product
 
-from intersets import Window, materialize
+from intersets import ALL, EMPTY, Window, materialize
+from intersets.symbolic import Congruence
 
 
 def fold_values(values, h: int) -> set[int]:
@@ -41,3 +42,17 @@ def lattice_fold(points, h: int) -> set[tuple[int, ...]]:
 
 def spiral(window: Window) -> list[int]:
     return sorted(range(window.lo, window.hi + 1), key=lambda x: (abs(x), x >= 0))
+
+
+def primitive_congruence_by_divisors(m: int, residues):
+    """The residue set mod m at its smallest period, by walking every
+    divisor d of m upward and testing whether the shift d fixes the set."""
+    res = sorted({r % m for r in residues})
+    if not res:
+        return EMPTY
+    if len(res) == m:
+        return ALL
+    for d in range(1, m):
+        if m % d == 0 and {(r + d) % m for r in res} == set(res):
+            return Congruence(d, tuple(sorted({r % d for r in res})))
+    return Congruence(m, tuple(res))

@@ -38,6 +38,7 @@ from intersets import (
     verify_out_witness,
 )
 from intersets.analyzer import _sample_member
+from intersets.symbolic import max_element, min_element
 from oracles import fold_values, lattice_fold, spiral
 
 FOURZ1 = union(congruence(4, (0,)), finite([1]))
@@ -315,6 +316,38 @@ _sample_atoms = st.one_of(
 def test_sample_member_matches_oracle_spiral(s, left, right):
     expected = next(x for x in spiral(Window(-4096, 4096)) if contains(s, x))
     assert _sample_member(s, Window(-left, right)) == expected
+
+
+# members up to 10**6 from 0 and moduli up to 10**6: many sets have no
+# member within the widest scan and take the min/max_element fallback
+_far_atoms = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4).map(finite),
+    st.integers(-10**6, 10**6).map(half_tail),
+    st.integers(-10**6, 10**6).map(down_tail),
+    st.integers(1, 10**6).flatmap(
+        lambda m: st.lists(st.integers(0, m - 1), min_size=1, max_size=3).map(
+            lambda rs: congruence(m, rs)
+        )
+    ),
+)
+
+
+@given(
+    st.lists(_far_atoms, min_size=1, max_size=3).map(lambda ps: union(*ps)),
+    st.integers(0, 64),
+)
+@settings(max_examples=100)
+def test_sample_member_scans_then_falls_back(s, radius):
+    # the scans widen from radius max(radius, 64) by 4 three times
+    reach = max(radius, 64) * 4**3
+    expected = next(
+        (x for x in spiral(Window(-reach, reach)) if contains(s, x)), None
+    )
+    if expected is None:
+        expected = min_element(s)
+        if expected is None:
+            expected = max_element(s)
+    assert _sample_member(s, Window(-radius, 0)) == expected
 
 
 def test_scaled_congruence_chain_completes():

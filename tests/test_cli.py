@@ -109,6 +109,18 @@ def test_sumset_closed(capsys):
     assert json.loads(payload) == {"kind": "half-tail", "threshold": "6"}
 
 
+def test_sumset_huge_modulus(capsys):
+    assert main(["sumset", "--set", "congruence:1000000000000000000:5",
+                 "--h", "2"]) == 0
+    tag, payload = capsys.readouterr().out.strip().split("\t")
+    assert tag == "closed"
+    assert json.loads(payload) == {
+        "kind": "congruence",
+        "modulus": "1000000000000000000",
+        "residues": ["10"],
+    }
+
+
 def test_sumset_windowed_members(capsys):
     assert main(["sumset", "--set", "finite:0,1,3", "--h", "2",
                  "--window", "-2:8"]) == 0
@@ -141,6 +153,12 @@ def test_repfn_infinite(capsys):
 def test_repfn_cap_exit_code(capsys):
     assert main(["repfn", "--set", "halftail:0", "--h", "2",
                  "--target", "1000000"]) == 3
+    assert "cap" in capsys.readouterr().err.lower()
+
+
+def test_repfn_mult_cap_exit_code(capsys):
+    assert main(["repfn", "--set", "cofinite:0", "--h", "2", "--mode", "mult",
+                 "--window", "1000000000000000000:1000000000000000000"]) == 3
     assert "cap" in capsys.readouterr().err.lower()
 
 

@@ -438,6 +438,25 @@ def test_hfold_product():
         hfold_product(finite([0, 2]), 2, Window(0, 10))
 
 
+def test_mult_target_cap_precedes_trial_division(monkeypatch):
+    cap = sumsets._MULT_TARGET_CAP
+    # the cap itself is admitted
+    assert representation_count(finite([10**5]), 2, cap, mode="mult").count == 1
+    assert hfold_product(finite([10**5]), 2, Window(cap, cap)).members == (cap,)
+    calls = []
+    monkeypatch.setattr(
+        sumsets, "_signed_divisors", lambda v: calls.append(v) or ()
+    )
+    for x in (cap + 1, -(cap + 1), 10**18):
+        with pytest.raises(CapError):
+            representation_count(cofinite([0]), 2, x, mode="mult")
+    with pytest.raises(CapError):
+        hfold_product(finite([1, 2]), 2, Window(cap + 1, cap + 1))
+    with pytest.raises(CapError):
+        hfold_product(finite([1, 2]), 2, Window(-(cap + 1), 10))
+    assert calls == []
+
+
 # -- basis order ------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from intersets import symbolic
 from intersets import (
     ALL,
     EMPTY,
@@ -39,12 +40,14 @@ from intersets.symbolic import (
     Tail,
     Union,
     _co_interval,
+    _primitive_congruence,
     co_interval_bounds,
     first_in_spiral,
     spiral,
     spiral_key,
     window_bits,
 )
+from oracles import primitive_congruence_by_divisors
 from oracles import spiral as oracle_spiral
 
 ints = st.integers(-30, 30)
@@ -195,6 +198,67 @@ def test_domain_gates():
         scale_set(half_tail(0), 0)
 
 
+# -- smallest period of a congruence ----------------------------------------
+
+
+@st.composite
+def residue_sets(draw):
+    """(m, residues) with m <= 400: a set of period d repeated m/d times,
+    then perhaps one residue added or removed, each residue then moved by a
+    multiple of m (negative or >= m)."""
+    d = draw(st.integers(1, 400))
+    m = d * draw(st.integers(1, 400 // d))
+    base = draw(st.sets(st.integers(0, d - 1), max_size=40))
+    res = sorted(b + j * d for b in base for j in range(m // d))
+    edit = draw(st.sampled_from(("keep", "add", "remove")))
+    if edit == "add":
+        res.append(draw(st.integers(0, m - 1)))
+    elif edit == "remove" and res:
+        res.pop(draw(st.integers(0, len(res) - 1)))
+    moves = draw(st.lists(st.integers(-3, 3), min_size=len(res), max_size=len(res)))
+    return m, [r + k * m for r, k in zip(res, moves)]
+
+
+@given(residue_sets())
+@example((1, [7]))
+@example((12, [0, 3, 6, 9, 1]))  # periodic but for one added residue
+@example((12, [0, 4, 8, 1, 5]))  # periodic but for one removed residue
+@settings(max_examples=400)
+def test_primitive_congruence_matches_divisor_walk(case):
+    m, residues = case
+    got = _primitive_congruence(m, residues)
+    assert got == primitive_congruence_by_divisors(m, residues)
+
+
+def test_primitive_congruence_huge_moduli():
+    assert congruence(10**18, [5]) == Congruence(10**18, (5,))
+    assert congruence(2 * 10**18, [5, 5 + 10**18]) == Congruence(10**18, (5,))
+    assert congruence(3 * 10**18, [-1, 10**18 - 1, 2 * 10**18 - 1]) == Congruence(
+        10**18, (10**18 - 1,)
+    )
+    p = 2**61 - 1
+    assert congruence(p, [3, 7, p + 1]) == Congruence(p, (1, 3, 7))
+    assert congruence(p, [-1]) == Congruence(p, (p - 1,))
+
+
+def test_primitive_congruence_never_factors_the_modulus(monkeypatch):
+    seen = []
+    real = symbolic._divisors
+    monkeypatch.setattr(symbolic, "_divisors", lambda n: seen.append(n) or real(n))
+    cases = [
+        (10**18, [5]),
+        (2 * 10**18, [5, 5 + 10**18]),
+        (2**61 - 1, [3, 7]),
+        (720, range(0, 720, 3)),
+        (720, [0, 1, 2, 360, 361, 362]),
+    ]
+    for m, residues in cases:
+        size = len({r % m for r in residues})
+        _primitive_congruence(m, residues)
+        assert seen and all(n <= size for n in seen)
+        seen.clear()
+
+
 # -- spiral order -----------------------------------------------------------
 
 
@@ -288,7 +352,7 @@ def test_window_bits_lists_materialize(s, lo, width):
 
 
 def test_window_bits_ignores_the_modulus_size():
-    # raw shapes: normalize would factor the modulus first
+    # raw shapes, never normalized
     assert window_bits(Congruence(10**18, (5,)), -100, 100) == 1 << 105
     # a residue just below the modulus is the point -3
     assert window_bits(Congruence(10**18, (10**18 - 3,)), -100, 100) == 1 << 97
