@@ -287,7 +287,7 @@ def truncated_layer_fold(
         r = gen_radius
         if r is None:
             r = default_radius(window, h, family.layer_reach(q))
-        res = symbolic_hfold_sum(family.set_at(q), h, window, max(r, window.radius))
+        res = symbolic_hfold_sum(family.layer(q), h, window, max(r, window.radius))
         m = members_in(res, window)
         acc = m if acc is None else acc & m
     assert acc is not None

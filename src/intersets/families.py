@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .errors import CapError, ConstructionError, InputError
@@ -30,7 +31,6 @@ from .symbolic import (
     contains,
     half_tail,
     intersect,
-    intersect_truncated,
     is_subset,
     materialize,
     normalize,
@@ -61,6 +61,17 @@ class Family(ABC):
     @abstractmethod
     def set_at(self, q: int) -> IntSet:
         """The q-th layer."""
+
+    @cached_property
+    def _layers(self) -> dict[int, IntSet]:
+        return {}
+
+    def layer(self, q: int) -> IntSet:
+        """The q-th layer, built by set_at on first use and kept after."""
+        layers = self._layers
+        if q not in layers:
+            layers[q] = self.set_at(q)
+        return layers[q]
 
     @abstractmethod
     def intersection(self) -> IntSet:
@@ -336,7 +347,7 @@ class AffineFamily(Family):
         self.depth = inner.depth
 
     def set_at(self, q: int) -> IntSet:
-        return affine(self.unit, self.shift, self.inner.set_at(q))
+        return affine(self.unit, self.shift, self.inner.layer(q))
 
     def intersection(self) -> IntSet:
         return affine(self.unit, self.shift, self.inner.intersection())
@@ -379,7 +390,7 @@ class ScaledFamily(Family):
         self.depth = inner.depth
 
     def set_at(self, q: int) -> IntSet:
-        return scale_set(self.inner.set_at(q), self.factor)
+        return scale_set(self.inner.layer(q), self.factor)
 
     def intersection(self) -> IntSet:
         return scale_set(self.inner.intersection(), self.factor)
@@ -408,7 +419,7 @@ class ExplicitFamily(Family):
         return self.sets[q - 1]
 
     def intersection(self) -> IntSet:
-        return intersect_truncated(self.sets)
+        return intersect(*self.sets)
 
     def certificate(self, h: int) -> TailCertificate | None:
         folds = []
@@ -486,7 +497,7 @@ def classify_monotonicity(
         windows = tuple(Window(-r, r) for r in (16, 64, 256, 1024))
     checks = []
     for q in range(1, depth + 1):
-        cur, nxt = family.set_at(q), family.set_at(q + 1)
+        cur, nxt = family.layer(q), family.layer(q + 1)
         certified = is_subset(nxt, cur)
         checked = True
         witness = None

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -440,20 +441,30 @@ def _signed_divisors(v: int) -> tuple[int, ...]:
     return tuple(ds)
 
 
+def _divisors_in(s: IntSet) -> Callable[[int], tuple[int, ...]]:
+    """v -> the signed divisors of v that lie in s, trial-divided once per v
+    however many fold depths ask for them."""
+
+    @lru_cache(maxsize=None)
+    def divisors_in(v: int) -> tuple[int, ...]:
+        return tuple(d for d in _signed_divisors(v) if contains(s, d))
+
+    return divisors_in
+
+
 def _rep_mult(s: IntSet, h: int, x: int) -> RepCount:
     if contains(s, 0):
         raise DomainError("multiplicative counts require a set avoiding 0")
     if x == 0:
         raise DomainError("multiplicative counts are defined for nonzero targets")
     _check_mult_target(x)
+    divisors_in = _divisors_in(s)
 
     @lru_cache(maxsize=None)
     def count(k: int, v: int) -> int:
         if k == 1:
             return 1 if contains(s, v) else 0
-        return sum(
-            count(k - 1, v // d) for d in _signed_divisors(v) if contains(s, d)
-        )
+        return sum(count(k - 1, v // d) for d in divisors_in(v))
 
     return RepCount(count(h, x))
 
@@ -526,6 +537,7 @@ def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
         raise DomainError("product sets require a set avoiding 0")
     _check_mult_target(window.radius)
 
+    divisors_in = _divisors_in(s)
     memo: dict[tuple[int, int], bool] = {}
 
     def exists(k: int, v: int) -> bool:
@@ -534,10 +546,7 @@ def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
         key = (k, v)
         if key in memo:
             return memo[key]
-        out = any(
-            contains(s, d) and exists(k - 1, v // d)
-            for d in _signed_divisors(v)
-        )
+        out = any(exists(k - 1, v // d) for d in divisors_in(v))
         memo[key] = out
         return out
 

@@ -32,9 +32,15 @@ _NORMALIZE_CACHE = 1 << 16
 
 
 class IntSet:
-    """Base class for symbolic integer sets.  Values are immutable."""
+    """Base class for symbolic integer sets.  Values are immutable.
+
+    `normalize` marks each term it returns by setting `_normal` on the
+    instance.  The mark is a plain class attribute, not a dataclass field,
+    so it takes no part in eq, hash or repr.
+    """
 
     __slots__ = ()
+    _normal = False
 
     def __contains__(self, x: int) -> bool:
         return contains(self, x)
@@ -673,7 +679,12 @@ def is_subset(x: IntSet, y: IntSet) -> bool:
 
 
 def normalize(s: IntSet) -> IntSet:
-    return _normalize(s)
+    """The canonical form of s; a term normalize returned comes back as is."""
+    if s._normal:
+        return s
+    r = _normalize(s)
+    object.__setattr__(r, "_normal", True)
+    return r
 
 
 @lru_cache(maxsize=_NORMALIZE_CACHE)
@@ -708,7 +719,7 @@ def _norm_affine(s: Affine) -> IntSet:
     if s.unit not in (1, -1):
         raise DomainError(f"affine unit must be +1 or -1, got {s.unit}")
     u, t = s.unit, s.shift
-    inner = _normalize(s.inner)
+    inner = normalize(s.inner)
     if isinstance(inner, Empty):
         return EMPTY
     if u == 1 and t == 0:
@@ -721,13 +732,13 @@ def _norm_affine(s: Affine) -> IntSet:
         m = inner.modulus
         return _primitive_congruence(m, ((u * r + t) % m for r in inner.residues))
     if isinstance(inner, Tail):
-        return _normalize(Tail(u * inner.center + t, inner.radius))
+        return normalize(Tail(u * inner.center + t, inner.radius))
     if isinstance(inner, HalfTail):
         if u == 1:
             return HalfTail(inner.threshold + t)
         return down_tail(t - inner.threshold)
     if isinstance(inner, Affine):  # down-tail leaf or unpushed input: compose
-        return _normalize(
+        return normalize(
             Affine(u * inner.unit, u * inner.shift + t, inner.inner)
         )
     if isinstance(inner, Union):
@@ -739,7 +750,7 @@ def _norm_affine(s: Affine) -> IntSet:
 
 def _norm_union(parts) -> IntSet:
     flat: list[IntSet] = []
-    stack = [_normalize(p) for p in parts]
+    stack = [normalize(p) for p in parts]
     while stack:
         p = stack.pop()
         if isinstance(p, Empty):
@@ -906,7 +917,7 @@ def _merge_congruences(congs: list[Congruence]):
 
 def _norm_intersection(parts) -> IntSet:
     items: list[IntSet] = []
-    stack = [_normalize(p) for p in parts]
+    stack = [normalize(p) for p in parts]
     while stack:
         p = stack.pop()
         if isinstance(p, Empty):
@@ -1025,7 +1036,9 @@ def _reduce_co_co(dx, dy) -> IntSet | None:
         return _co_interval(iv[1], iv[2])
     if len(outside) < len(lst[1]):
         return Intersection(
-            tuple(sorted((_co_interval(iv[1], iv[2]), Cofinite(outside)), key=_key))
+            tuple(
+                sorted((_co_interval(iv[1], iv[2]), _co_from_list(outside)), key=_key)
+            )
         )
     return None
 
@@ -1057,7 +1070,7 @@ def _reduce_cong_co(c: Congruence, co: IntSet, d) -> IntSet | None:
             return c
         if len(punct) == len(d[1]):
             return None  # canonical punctured-class pair
-        return Intersection(tuple(sorted((c, Cofinite(punct)), key=_key)))
+        return Intersection(tuple(sorted((c, _co_from_list(punct)), key=_key)))
     cnt = count_in_interval(c, d[1], d[2])
     if cnt == 0:
         return c
@@ -1065,7 +1078,7 @@ def _reduce_cong_co(c: Congruence, co: IntSet, d) -> IntSet | None:
         punct = tuple(
             v for v in range(d[1], d[2] + 1) if v % c.modulus in c.residues
         )
-        return Intersection(tuple(sorted((c, Cofinite(punct)), key=_key)))
+        return Intersection(tuple(sorted((c, _co_from_list(punct)), key=_key)))
     return None
 
 
@@ -1237,22 +1250,6 @@ def _congruence_bits(c: Congruence, lo: int, n: int) -> int:
         out |= out << width
         width *= 2
     return out & ((1 << n) - 1)
-
-
-def intersect_truncated(sets, window: Window | None = None) -> IntSet:
-    """Exact intersection of finitely many symbolic sets.
-
-    The window is only used as a fallback materialization when the result
-    would otherwise stay lazy AND a window was supplied; the symbolic result
-    is preferred.
-    """
-    sets = list(sets)
-    if not sets:
-        return ALL
-    out = _norm_intersection(tuple(sets))
-    if window is not None and isinstance(out, Intersection):
-        return Finite(tuple(materialize(out, window)))
-    return out
 
 
 # ---------------------------------------------------------------------------

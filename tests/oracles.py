@@ -27,9 +27,12 @@ def windowed_fold(s, h: int, window: Window, radius: int) -> set[int]:
     return {x for x in fold_values(values, h) if window.lo <= x <= window.hi}
 
 
-def rep_count(values, h: int, x: int) -> int:
-    """Ordered h-tuple representations of x, by exhaustion."""
-    return sum(1 for combo in product(sorted(set(values)), repeat=h) if sum(combo) == x)
+def rep_count(values, h: int, x: int, combine=sum) -> int:
+    """Ordered h-tuple representations of x, by exhaustion; combine is sum
+    for additive counts and math.prod for multiplicative ones."""
+    return sum(
+        1 for combo in product(sorted(set(values)), repeat=h) if combine(combo) == x
+    )
 
 
 def lattice_fold(points, h: int) -> set[tuple[int, ...]]:

@@ -360,3 +360,25 @@ def test_scaled_congruence_chain_completes():
         EMPIRICAL_EQUAL,
         EMPIRICAL_EQUAL,
     )
+
+
+def test_layers_are_built_once_per_family():
+    def scaled(memo: bool):
+        inner = TailFamily(FOURZ1)
+        fam = ScaledFamily(inner, 3)
+        calls = []
+        build = inner.set_at
+        inner.set_at = lambda q: calls.append(q) or build(q)
+        if not memo:
+            for f in (inner, fam):
+                f.layer = f.set_at
+        return fam, calls
+
+    fam, calls = scaled(memo=True)
+    report = compute_H(fam, 4)
+    # the deep pass of _empirical reaches Q * deep_scale
+    assert sorted(calls) == list(range(1, 17))
+    plain, plain_calls = scaled(memo=False)
+    assert compute_H(plain, 4) == report
+    assert len(plain_calls) > len(calls)
+    assert fam.layer(2) is fam.layer(2)

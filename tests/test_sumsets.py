@@ -1,6 +1,8 @@
 """Sumset engine: closed forms, windowed enumeration, counts, basis order."""
 
+import math
 import random
+from collections import Counter
 from unittest import mock
 
 from hypothesis import given, settings
@@ -455,6 +457,45 @@ def test_mult_target_cap_precedes_trial_division(monkeypatch):
     with pytest.raises(CapError):
         hfold_product(finite([1, 2]), 2, Window(-(cap + 1), 10))
     assert calls == []
+
+
+def _count_divisor_calls(monkeypatch) -> Counter:
+    seen: Counter = Counter()
+    divisors = sumsets._signed_divisors
+    monkeypatch.setattr(
+        sumsets, "_signed_divisors", lambda v: seen.update((v,)) or divisors(v)
+    )
+    return seen
+
+
+def test_mult_folds_trial_divide_each_value_once(monkeypatch):
+    seen = _count_divisor_calls(monkeypatch)
+    # 720,720 has 240 divisors: every depth re-meets the same quotients
+    assert representation_count(cofinite([0]), 4, 720720, mode="mult").count
+    assert seen and max(seen.values()) == 1
+    seen.clear()
+    hfold_product(cofinite([0, 1, -1]), 4, Window(-300, 300))
+    assert seen and max(seen.values()) == 1
+
+
+_nonzero = st.integers(-12, 12).filter(bool)
+
+
+@given(
+    st.one_of(
+        st.lists(_nonzero, min_size=1, max_size=5).map(finite),
+        st.lists(_nonzero, max_size=3).map(lambda xs: cofinite([0, *xs])),
+    ),
+    st.integers(2, 4),
+    st.integers(-60, 60).filter(bool),
+)
+@settings(max_examples=80)
+def test_mult_counts_and_products_match_exhaustion(s, h, x):
+    # every factor of a representation of x divides it
+    values = [v for v in materialize(s, Window(-abs(x), abs(x))) if x % v == 0]
+    expected = rep_count(values, h, x, combine=math.prod)
+    assert representation_count(s, h, x, mode="mult").count == expected
+    assert (x in hfold_product(s, h, Window(x, x)).members) == (expected > 0)
 
 
 # -- basis order ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Term language invariants: normalization, membership, subset soundness."""
 
+import dataclasses
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +49,7 @@ from intersets.symbolic import (
     spiral_key,
     window_bits,
 )
+from intersets.serialize import set_to_json
 from oracles import primitive_congruence_by_divisors
 from oracles import spiral as oracle_spiral
 
@@ -80,14 +83,71 @@ raw_sets = st.recursive(
     max_leaves=4,
 )
 
+# deeper terms with three-part unions, for the normal-form properties
+deep_sets = st.recursive(
+    base_sets,
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(Union),
+        st.tuples(kids, kids, kids).map(Union),
+        st.tuples(kids, kids).map(Intersection),
+        st.tuples(st.sampled_from((1, -1)), st.integers(-8, 8), kids).map(
+            lambda t: Affine(t[0], t[1], t[2])
+        ),
+    ),
+    max_leaves=8,
+)
+
 PROBE = list(range(-60, 61))
 
 
-@given(raw_sets)
+def _unmarked(s):
+    """A fresh copy of the term tree, carrying no normal-form mark."""
+    if isinstance(s, (Union, Intersection)):
+        return type(s)(tuple(_unmarked(p) for p in s.parts))
+    if isinstance(s, Affine):
+        return Affine(s.unit, s.shift, _unmarked(s.inner))
+    return dataclasses.replace(s)
+
+
+@given(deep_sets)
 @settings(max_examples=150)
 def test_normalize_is_idempotent(s):
+    # normalize returns a marked normal form as is, so recompute it uncached
     n = normalize(s)
-    assert normalize(n) == n
+    assert symbolic._normalize.__wrapped__(n) == n
+
+
+def test_punctured_class_keeps_its_run_canonical():
+    # the three contiguous punctures of the class are a Tail in normal form;
+    # a raw Cofinite here was normalized to a Tail only on a second pass
+    n = normalize(Intersection((Congruence(10, (1, 2, 3)), Cofinite((-9, -8, -7, 5)))))
+    assert n == Intersection((Congruence(10, (1, 2, 3)), Tail(-8, 2)))
+    assert symbolic._normalize.__wrapped__(n) == n
+    interval = Tail(0, EXPAND_CAP)  # kept as an interval descriptor
+    far = (-EXPAND_CAP - 9, -EXPAND_CAP - 8, -EXPAND_CAP - 7, 0)
+    n = normalize(Intersection((interval, Cofinite(far))))
+    assert n == Intersection((Tail(-EXPAND_CAP - 8, 2), interval))
+    assert symbolic._normalize.__wrapped__(n) == n
+
+
+@given(deep_sets)
+@settings(max_examples=100)
+def test_normalize_returns_marked_terms_as_they_are(s):
+    n = normalize(s)
+    before = symbolic._normalize.cache_info()
+    assert normalize(n) is n
+    after = symbolic._normalize.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@given(deep_sets)
+@settings(max_examples=100)
+def test_the_mark_is_invisible(s):
+    n = normalize(s)
+    u = _unmarked(n)
+    assert n._normal and not u._normal
+    assert u == n and hash(u) == hash(n) and repr(u) == repr(n)
+    assert set_to_json(u) == set_to_json(n)
 
 
 @given(raw_sets)
