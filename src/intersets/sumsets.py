@@ -26,11 +26,12 @@ operand's popcount p:
 The operand bitset comes straight from the set's term
 (`symbolic.window_bits`: masks for tails and rays, a doubled period for a
 congruence, OR and AND for unions and intersections), never from a list
-of members.  Its empty span below the smallest member is shifted off
-before folding, so every fold covers only the span the set occupies, and
-the window is read back against h times that smallest member from one
-binary string in a single pass.  This path needs only the standard
-library.
+of members; `symbolic.materialize` decodes the same int, so both read one
+membership implementation.  Its empty span below the smallest member is
+shifted off before folding, so every fold covers only the span the set
+occupies, and the window is read back against h times that smallest
+member with `symbolic.bit_flags`, from one binary string in a single
+pass.  This path needs only the standard library.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .symbolic import (
     IN,
     OUT,
     as_down_tail,
+    bit_flags,
     bounds,
     check_cap,
     congruence,
@@ -294,7 +296,6 @@ _EXACT = Context(
     traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
 )
 _NONZERO_DIGIT = str.maketrans("23456789", "11111111")
-_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _conv(bits_a: int, bits_b: int) -> int:
@@ -306,15 +307,10 @@ def _conv(bits_a: int, bits_b: int) -> int:
     if popcount >= _KRONECKER_MIN_POPCOUNT:
         return _conv_kronecker(bits_a, bits_b, popcount)
     out = 0
-    flags = _flags(bits_a)
+    flags = bit_flags(bits_a)
     for i in compress(range(len(flags)), flags):
         out |= bits_b << i
     return out
-
-
-def _flags(bits: int) -> bytes:
-    """Byte i is 1 when bit i of bits is set, else 0, from one bin() pass."""
-    return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
 
 
 def _conv_kronecker(bits_a: int, bits_b: int, popcount: int) -> int:
@@ -366,7 +362,7 @@ def windowed_hfold_sum(
     members = ()
     if start <= window.hi:
         seg = (acc >> (start - h * v0)) & ((1 << (window.hi - start + 1)) - 1)
-        members = tuple(compress(range(start, window.hi + 1), _flags(seg)))
+        members = tuple(compress(range(start, window.hi + 1), bit_flags(seg)))
     return Windowed(window, members, r, _complete(s, h, window, r))
 
 

@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .errors import CapError, DomainError
 
@@ -26,6 +27,8 @@ EXPAND_CAP = 10_000
 LCM_CAP = 1_000_000
 MATERIALIZE_CAP = 2_000_000
 _DISTRIBUTE_CAP = 16
+# points min_element scans above a known lower bound
+_ELEMENT_SEARCH = 65536
 # entries of the normalize memo: all 16 verify scenarios together fill
 # under 18,000
 _NORMALIZE_CACHE = 1 << 16
@@ -487,19 +490,19 @@ def bounds(s: IntSet) -> tuple[int | None, int | None]:
     raise TypeError(f"not an IntSet: {s!r}")
 
 
-def min_element(s: IntSet, search: int = 65536) -> int | None:
+def min_element(s: IntSet) -> int | None:
     """Smallest element when a lower bound is known and attained nearby."""
     lo, _ = bounds(s)
     if lo is None:
         return None
-    for x in range(lo, lo + search + 1):
+    for x in range(lo, lo + _ELEMENT_SEARCH + 1):
         if contains(s, x):
             return x
     return None
 
 
-def max_element(s: IntSet, search: int = 65536) -> int | None:
-    m = min_element(negate(s), search)
+def max_element(s: IntSet) -> int | None:
+    m = min_element(negate(s))
     return None if m is None else -m
 
 
@@ -586,8 +589,8 @@ def count_in_interval(s: IntSet, a: int, b: int) -> int | None:
                 hi = min(hi, d)
             elif isinstance(p, Congruence):
                 congs.append(p)
-            elif isinstance(p, Cofinite):
-                punct.append(p.excluded)
+            elif (co := _co_desc(p)) is not None and co[0] == "list":
+                punct.append(co[1])
             else:
                 return None
         if len(congs) > 1:
@@ -1106,75 +1109,36 @@ def _reduce_half_co(t: int, d) -> IntSet | None:
 # materialization
 
 
-def check_cap(window: Window, cap: int = MATERIALIZE_CAP) -> None:
-    """Raise CapError when the window holds more than cap points."""
-    if window.size > cap:
+def check_cap(window: Window) -> None:
+    """Raise CapError when the window holds more than MATERIALIZE_CAP points."""
+    if window.size > MATERIALIZE_CAP:
         raise CapError(
-            f"window of size {window.size} exceeds materialization cap {cap}"
+            f"window of size {window.size} exceeds materialization cap "
+            f"{MATERIALIZE_CAP}"
         )
 
 
-def materialize(s: IntSet, window: Window, cap: int = MATERIALIZE_CAP) -> list[int]:
-    """Sorted members of s within the window; exact."""
-    check_cap(window, cap)
-    return _materialize(s, window.lo, window.hi)
+def materialize(s: IntSet, window: Window) -> list[int]:
+    """Sorted members of s within the window; exact.
 
-
-def _materialize(s: IntSet, lo: int, hi: int) -> list[int]:
-    if lo > hi or isinstance(s, Empty):
-        return []
+    The members are read off `window_bits` in one pass, except for a
+    Finite, whose bisected slice costs O(k) however wide the window is.
+    """
+    check_cap(window)
+    lo, hi = window.lo, window.hi
     if isinstance(s, Finite):
         i, j = bisect_left(s.elements, lo), bisect_right(s.elements, hi)
         return list(s.elements[i:j])
-    if isinstance(s, Cofinite):
-        ex = set(s.excluded)
-        return [x for x in range(lo, hi + 1) if x not in ex]
-    if isinstance(s, Congruence):
-        out: list[int] = []
-        for r in s.residues:
-            first = lo + ((r - lo) % s.modulus)
-            out.extend(range(first, hi + 1, s.modulus))
-        return sorted(out)
-    if isinstance(s, Tail):
-        a, b = s.center - s.radius, s.center + s.radius
-        return list(range(lo, min(hi, a) + 1)) + list(range(max(lo, b), hi + 1))
-    if isinstance(s, HalfTail):
-        return list(range(max(lo, s.threshold), hi + 1))
-    if isinstance(s, Affine):
-        if s.unit == 1:
-            inner = _materialize(s.inner, lo - s.shift, hi - s.shift)
-            return [v + s.shift for v in inner]
-        inner = _materialize(s.inner, s.shift - hi, s.shift - lo)
-        return [s.shift - v for v in reversed(inner)]
-    if isinstance(s, Union):
-        acc: set[int] = set()
-        for p in s.parts:
-            acc.update(_materialize(p, lo, hi))
-        return sorted(acc)
-    if isinstance(s, Intersection):
-        # start from the sparsest part with a known exact count
-        best, best_n = None, None
-        for p in s.parts:
-            n = count_in_interval(p, lo, hi)
-            if n is not None and (best_n is None or n < best_n):
-                best, best_n = p, n
-        if best is None:
-            best = s.parts[0]
-        rest = [p for p in s.parts if p is not best]
-        return [
-            v
-            for v in _materialize(best, lo, hi)
-            if all(contains(p, v) for p in rest)
-        ]
-    raise TypeError(f"not an IntSet: {s!r}")
+    return list(compress(range(lo, hi + 1), bit_flags(window_bits(s, lo, hi))))
 
 
 def window_bits(s: IntSet, lo: int, hi: int) -> int:
     """The members of s within [lo, hi] as an int whose bit i marks lo + i.
 
-    The same membership as `materialize`, built shape by shape from masks:
-    only the listed points of a Finite or Cofinite are set one by one, and
-    no cost grows with a congruence's modulus.  No cap is checked here.
+    Built shape by shape from masks: only the listed points of a Finite or
+    Cofinite are set one by one, and no cost grows with a congruence's
+    modulus.  No cap is checked here; `materialize` checks it and decodes
+    this int with `bit_flags`.
     """
     if lo > hi or isinstance(s, Empty):
         return 0
@@ -1213,6 +1177,14 @@ def window_bits(s: IntSet, lo: int, hi: int) -> int:
                 break
         return out
     raise TypeError(f"not an IntSet: {s!r}")
+
+
+_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_flags(bits: int) -> bytes:
+    """Byte i is 1 when bit i of bits is set, else 0, from one bin() pass."""
+    return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
 
 
 def _run(a: int, b: int, n: int) -> int:

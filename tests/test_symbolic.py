@@ -11,6 +11,7 @@ from intersets import symbolic
 from intersets import (
     ALL,
     EMPTY,
+    CapError,
     DomainError,
     Window,
     affine,
@@ -33,6 +34,7 @@ from intersets import (
 )
 from intersets.symbolic import (
     EXPAND_CAP,
+    MATERIALIZE_CAP,
     Affine,
     Cofinite,
     Congruence,
@@ -44,13 +46,14 @@ from intersets.symbolic import (
     _co_interval,
     _primitive_congruence,
     co_interval_bounds,
+    count_in_interval,
     first_in_spiral,
     spiral,
     spiral_key,
     window_bits,
 )
 from intersets.serialize import set_to_json
-from oracles import primitive_congruence_by_divisors
+from oracles import members, primitive_congruence_by_divisors
 from oracles import spiral as oracle_spiral
 
 ints = st.integers(-30, 30)
@@ -408,7 +411,8 @@ def test_window_bits_lists_materialize(s, lo, width):
     bits = window_bits(s, lo, hi)
     assert 0 <= bits < 1 << (width + 1)
     got = [lo + i for i in range(width + 1) if bits >> i & 1]
-    assert got == materialize(s, Window(lo, hi))
+    assert got == members(s, Window(lo, hi))
+    assert materialize(s, Window(lo, hi)) == got
 
 
 def test_window_bits_ignores_the_modulus_size():
@@ -417,3 +421,59 @@ def test_window_bits_ignores_the_modulus_size():
     # a residue just below the modulus is the point -3
     assert window_bits(Congruence(10**18, (10**18 - 3,)), -100, 100) == 1 << 97
     assert window_bits(Congruence(10**18, (200,)), -100, 100) == 0
+
+
+def _no_window_bits(*args):
+    raise AssertionError("window_bits ran")
+
+
+def test_materialize_slices_a_finite_in_a_full_window(monkeypatch):
+    # the bisect slice, never a mask as wide as the window
+    monkeypatch.setattr(symbolic, "window_bits", _no_window_bits)
+    w = Window(-(10**6), 10**6 - 1)
+    assert w.size == MATERIALIZE_CAP
+    points = (-(10**6), 7, 10**6 - 1)
+    assert materialize(Finite(points), w) == list(points)
+
+
+def test_materialize_checks_its_cap_before_any_work(monkeypatch):
+    monkeypatch.setattr(symbolic, "window_bits", _no_window_bits)
+    with pytest.raises(CapError) as err:
+        materialize(ALL, Window(-(10**6), 10**6 + 1))
+    assert str(err.value) == (
+        "window of size 2000002 exceeds materialization cap 2000000"
+    )
+
+
+# -- interval counts ---------------------------------------------------------
+
+
+def test_count_in_interval_reads_tail_parts_of_an_intersection():
+    # the class's punctures at -9, -8, -7 normalize to Tail(-8, 2)
+    s = normalize(Intersection((Congruence(10, (1, 2, 3)), Tail(-8, 2))))
+    assert isinstance(s, Intersection)
+    assert count_in_interval(s, -20, 20) == 9
+    assert count_in_interval(s, -20, 20) == len(members(s, Window(-20, 20)))
+
+
+rays = st.one_of(halves, st.integers(-10, 10).map(down_tail))
+# a gap past EXPAND_CAP is an interval descriptor, which stays undecided
+wide_tails = st.integers(-10, 10).map(lambda c: Tail(c, EXPAND_CAP))
+co_parts = st.one_of(tails, wide_tails, cofinites, rays)
+
+
+@given(
+    congruences,
+    st.lists(co_parts, min_size=1, max_size=3),
+    st.integers(-40, 40),
+    st.integers(0, 80),
+)
+@example(Congruence(10, (1, 2, 3)), [Tail(-8, 2)], -20, 40)
+@settings(max_examples=200)
+def test_count_in_interval_matches_a_scan(c, parts, a, width):
+    b = a + width
+    raw = Intersection((c, *parts))
+    for s in (raw, normalize(raw)):
+        n = count_in_interval(s, a, b)
+        if n is not None:
+            assert n == len(members(s, Window(a, b)))
