@@ -67,6 +67,7 @@ from .groups import (
     covering_orders,
     group_H_explicit,
     group_hfold,
+    group_hfolds,
 )
 from .lattices import (
     Box,

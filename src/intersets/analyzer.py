@@ -13,15 +13,17 @@ element of C missing from hA is a one-point disproof.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .errors import InputError, InvariantError
 from .families import ExplicitFamily, Family, ProductFamily, ScaledFamily
-from .groups import FiniteGroupTable, group_H_explicit, group_hfold
+from .groups import FiniteGroupTable, group_H_explicit, group_hfolds
 from .symbolic import (
     OUT,
     Empty,
     IntSet,
     Window,
+    bit_flags,
     check_cap,
     congruence,
     contains,
@@ -41,6 +43,7 @@ from .sumsets import (
     members_in,
     query,
     symbolic_hfold_sum,
+    window_mask,
 )
 
 CERTIFIED_IN = "CertifiedIn"
@@ -277,21 +280,21 @@ def truncated_layer_fold(
 
     Windowed layers contribute sums of elements within the generation
     radius only, so the result can undercount; closed layers are exact.
+    Each layer fold is read as a `window_mask`; the masks are ANDed and
+    only the intersection is decoded into a set.
     """
     if Q < 1:
         raise InputError(f"Q must be >= 1, got {Q}")
     if family.depth is not None:
         Q = min(Q, family.depth)
-    acc: set[int] | None = None
+    acc = -1  # every bit set: the identity of AND
     for q in range(1, Q + 1):
         r = gen_radius
         if r is None:
             r = default_radius(window, h, family.layer_reach(q))
         res = symbolic_hfold_sum(family.layer(q), h, window, max(r, window.radius))
-        m = members_in(res, window)
-        acc = m if acc is None else acc & m
-    assert acc is not None
-    return acc
+        acc &= window_mask(res, window)
+    return set(compress(range(window.lo, window.hi + 1), bit_flags(acc)))
 
 
 def _empirical(family: Family, h: int, cfg: HConfig) -> Outcome:
@@ -562,12 +565,13 @@ def pullback_check(
             continue
         seen.add(layer)
         pull = congruence(m, layer)
-        for h in range(1, h_max + 1):
-            gf = group_hfold(g, layer, h)
+        for h, gf in enumerate(group_hfolds(g, layer, h_max), 1):
             res = symbolic_hfold_sum(pull, h, win)
             expected = congruence(m, gf)
             sym_eq = isinstance(res, Closed) and res.set == expected
-            win_eq = members_in(res, win) == set(materialize(expected, win))
+            got = window_mask(res, win)
+            check_cap(win)
+            win_eq = got == window_bits(expected, win.lo, win.hi)
             checks.append(
                 FoldCheck(h, tuple(sorted(layer)), tuple(sorted(gf)), sym_eq, win_eq)
             )

@@ -164,7 +164,10 @@ def verify_rational_theorem(
     on the common denominator D = lcm(1..r_max): the window is scaled once
     to the integer bounds ceil(lo*D) and floor(hi*D), each layer's fold
     values are sorted and bisected per base sum, and a distance d/D is
-    tested against h/Q as d*Q > h*D.
+    tested against h/Q as d*Q > h*D.  Every layer is checked against the
+    one before; while each is inside its predecessor, the intersection so
+    far is the newest layer, and only after the first layer that is not
+    does the intersection take set intersections.
     """
     if h < 2:
         raise InputError(f"h must be >= 2, got {h}")
@@ -199,7 +202,8 @@ def verify_rational_theorem(
         if prev is not None and not layer <= prev:
             monotone = False
         prev = layer
-        intersection = layer if intersection is None else intersection & layer
+        # A <= B gives A & B == A, so nested layers need no intersection
+        intersection = layer if monotone else intersection & layer
     assert intersection is not None
 
     in_window = [s for s in base_scaled if lo_s <= s <= hi_s]

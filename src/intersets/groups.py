@@ -7,8 +7,10 @@ h-fold intersections are computed exactly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 
 from .errors import ConstructionError, DomainError
 
@@ -84,13 +86,28 @@ def group_hfold(g: FiniteGroupTable, subset, h: int) -> frozenset[int]:
     """All sums of h elements of the subset."""
     if h < 1:
         raise DomainError(f"h must be >= 1, got {h}")
+    return next(islice(_hfold_ladder(g, subset), h - 1, None))
+
+
+def group_hfolds(
+    g: FiniteGroupTable, subset, h_max: int
+) -> tuple[frozenset[int], ...]:
+    """The h-fold sums of the subset for h = 1..h_max, in order."""
+    return tuple(islice(_hfold_ladder(g, subset), max(h_max, 0)))
+
+
+def _hfold_ladder(g: FiniteGroupTable, subset) -> Iterator[frozenset[int]]:
+    """hB for h = 1, 2, ..., each built from the one before: the table is
+    commutative, so (h+1)B is the union over b in B of row b read at the
+    elements of hB.  The subset is checked when the first fold is drawn."""
     base = frozenset(subset)
     if any(not 0 <= a < g.order for a in base):
         raise DomainError("subset indices must lie inside the group")
-    acc = base
-    for _ in range(h - 1):
-        acc = frozenset(g.add(a, b) for a in acc for b in base)
-    return acc
+    rows = [g.table[b].__getitem__ for b in base]
+    fold = base
+    while True:
+        yield fold
+        fold = frozenset().union(*[map(row, fold) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -115,14 +132,18 @@ def group_H_explicit(
     for a, b in zip(chain, chain[1:]):
         if not b <= a:
             raise ConstructionError("layers must be decreasing")
-    core = reduce(frozenset.__and__, chain)
+    # the chain decreases, so its intersection is its last layer
+    core = chain[-1]
     if not core:
         raise ConstructionError("the chain intersection must be nonempty")
+    # one ladder per distinct layer; the core's is the last layer's
+    ladders = {layer: group_hfolds(g, layer, h_max) for layer in chain}
+    core_folds = ladders[core]
     out = []
     for h in range(1, h_max + 1):
-        fold = group_hfold(g, core, h)
+        fold = core_folds[h - 1]
         layer_fold = reduce(
-            frozenset.__and__, (group_hfold(g, layer, h) for layer in chain)
+            frozenset.__and__, (folds[h - 1] for folds in ladders.values())
         )
         out.append(GroupHVerdict(h, fold == layer_fold, fold, layer_fold))
     return tuple(out)
@@ -131,4 +152,5 @@ def group_H_explicit(
 def covering_orders(g: FiniteGroupTable, subset, h_max: int) -> list[int]:
     """All h up to h_max whose h-fold sums exhaust the group."""
     full = frozenset(range(g.order))
-    return [h for h in range(1, h_max + 1) if group_hfold(g, subset, h) == full]
+    folds = group_hfolds(g, subset, h_max)
+    return [h for h, fold in enumerate(folds, 1) if fold == full]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .errors import CapError, ConstructionError, InputError
 
@@ -40,11 +41,11 @@ class LatticePoint:
 def _as_coords(p) -> Coords:
     if isinstance(p, LatticePoint):
         return p.coords
-    return tuple(int(c) for c in p)
+    return tuple(map(int, p))
 
 
 def _norm_sq(c: Coords) -> int:
-    return sum(v * v for v in c)
+    return sum(map(mul, c, c))
 
 
 @dataclass(frozen=True)
@@ -186,13 +187,15 @@ def min_norm_inequality(vectors) -> MinNormCheck:
     for v in vs:
         if len(v) != dim:
             raise InputError("mixed dimensions")
-        if any(c < 0 for c in v):
-            raise InputError(f"negative coordinate in {v}")
-        if all(c == 0 for c in v):
+        # an all-zero vector (or one with no coordinates) has no negative
+        # coordinate, so testing it first picks the same error
+        if not any(v):
             raise InputError("zero vector not allowed")
-    total = tuple(sum(v[i] for v in vs) for i in range(dim))
+        if min(v) < 0:
+            raise InputError(f"negative coordinate in {v}")
+    total = tuple(map(sum, zip(*vs)))
     lhs = _norm_sq(total)
-    rhs = len(vs) * min(_norm_sq(v) for v in vs)
+    rhs = len(vs) * min(map(_norm_sq, vs))
     return MinNormCheck(len(vs), lhs, rhs, lhs >= rhs)
 
 

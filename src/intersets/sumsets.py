@@ -149,6 +149,22 @@ def members_in(result: SumsetResult, window: Window) -> set[int]:
     return {x for x in result.members if window.lo <= x <= window.hi}
 
 
+def window_mask(result: SumsetResult, window: Window) -> int:
+    """The members of `members_in(result, window)` as an int whose bit i
+    marks window.lo + i, with the same cap and window checks.
+
+    A closed form is read through `window_bits`; a windowed result's
+    sorted members are bisected to the window.
+    """
+    if isinstance(result, Closed):
+        check_cap(window)
+        return window_bits(result.set, window.lo, window.hi)
+    if result.window.lo > window.lo or result.window.hi < window.hi:
+        raise DomainError("requested window exceeds the evaluated window")
+    # members are sorted and distinct, which is a Finite's normal form
+    return window_bits(Finite(result.members), window.lo, window.hi)
+
+
 # ---------------------------------------------------------------------------
 # symbolic rules
 

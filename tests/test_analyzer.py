@@ -37,9 +37,10 @@ from intersets import (
     union,
     verify_out_witness,
 )
+from intersets import analyzer, families, sumsets, symbolic
 from intersets.analyzer import _sample_member
 from intersets.symbolic import max_element, min_element
-from oracles import fold_values, lattice_fold, spiral
+from oracles import fold_values, lattice_fold, spiral, windowed_fold
 
 FOURZ1 = union(congruence(4, (0,)), finite([1]))
 THREEZ1 = union(congruence(3, (0,)), finite([1]))
@@ -244,6 +245,45 @@ def test_truncated_layer_fold_pins():
     assert len(shallow - expected) == 15
     with pytest.raises(InputError):
         truncated_layer_fold(fam, 4, win, 0)
+
+
+@given(
+    st.sampled_from((TailFamily, HalfTailFamily)),
+    st.lists(st.integers(0, 24), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(-10, 0),
+    st.integers(0, 25),
+)
+@settings(max_examples=30, deadline=None)
+def test_truncated_layer_fold_matches_oracle_layer_folds(kind, core, h, Q, lo, hi):
+    fam = kind(finite(core))
+    win = Window(lo, hi)
+    # layer q is the core with the two-sided or upward tail from q: every
+    # window sum of h members has one whose summands lie within r
+    r = 2 * win.radius + 3 * Q + 25
+    expected = set(range(lo, hi + 1))
+    for q in range(1, Q + 1):
+        expected &= windowed_fold(fam.layer(q), h, win, r)
+    assert truncated_layer_fold(fam, h, win, Q) == expected
+
+
+def _no_materialize(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("materialize was called")
+
+    for mod in (analyzer, families, sumsets, symbolic):
+        monkeypatch.setattr(mod, "materialize", refuse)
+
+
+def test_closed_layer_folds_materialize_nothing(monkeypatch):
+    fam = CongruenceChainFamily((0, 1, 3), m1=7)
+    win = Window(-30, 30)
+    expected = truncated_layer_fold(fam, 4, win, 3)
+    _no_materialize(monkeypatch)
+    assert truncated_layer_fold(fam, 4, win, 3) == expected
+    rep = pullback_check(6, [(1, 3), (1,)], 3)
+    assert rep.fold_identity and len(rep.fold_checks) == 6
 
 
 # -- pullback ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from intersets import (
     verify_open_theorem,
     verify_rational_theorem,
 )
+from intersets import continuum
 
 from oracles import fold_values
 
@@ -144,6 +145,38 @@ def test_rational_theorem_matches_naive_folds(include_base, h, Q, window):
     rep = verify_rational_theorem(fam, h, Q, window)
     naive = _naive_rational(fam, h, Q, window, 14)
     assert {k: getattr(rep, k) for k in naive} == naive
+
+
+def test_rational_theorem_intersects_layers_that_do_not_nest(monkeypatch):
+    # the last layer also gets the perturbation 1/D, which no other layer
+    # has, so it is not inside its predecessor and the intersection must
+    # drop the points only it reaches
+    fam = RationalPerturbFamily((4, 8, 12, 16), r_max=14)
+    h, Q, lo, hi = 2, 5, 0, 40
+    denom = math.lcm(*range(1, 15))
+    honest = continuum._perturbation_offsets
+
+    def offsets(q, r_max, d, with_zero):
+        offs = honest(q, r_max, d, with_zero)
+        return sorted(offs + [1]) if q == Q else offs
+
+    monkeypatch.setattr(continuum, "_perturbation_offsets", offsets)
+    rep = verify_rational_theorem(fam, h, Q, (lo, hi))
+
+    base = [v * denom for v in fold_values(fam.points, h) if lo - h <= v <= hi + h]
+    layers = [
+        {
+            b + f
+            for b in base
+            for f in fold_values(offsets(q, 14, denom, False), h)
+            if lo * denom <= b + f <= hi * denom
+        }
+        for q in range(1, Q + 1)
+    ]
+    expected = set.intersection(*layers)
+    assert expected < layers[-1]
+    assert not rep.monotone
+    assert rep.intersection_size == len(expected)
 
 
 # -- interval unions --------------------------------------------------------

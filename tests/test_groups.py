@@ -9,6 +9,7 @@ from intersets import (
     covering_orders,
     group_H_explicit,
     group_hfold,
+    group_hfolds,
 )
 
 
@@ -85,6 +86,49 @@ def test_group_H_explicit_gates():
         group_H_explicit(g, [{0, 1}, {0, 2}], 2)  # not decreasing
     with pytest.raises(ConstructionError):
         group_H_explicit(g, [{1}, set()], 2)  # empty intersection
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        FiniteGroupTable.cyclic(1),
+        FiniteGroupTable.cyclic(7),
+        FiniteGroupTable.cyclic(12),
+        FiniteGroupTable.direct_product(
+            FiniteGroupTable.cyclic(2), FiniteGroupTable.cyclic(4)
+        ),
+        FiniteGroupTable.direct_product(
+            FiniteGroupTable.cyclic(3), FiniteGroupTable.cyclic(3)
+        ),
+    ],
+    ids=["Z1", "Z7", "Z12", "Z2xZ4", "Z3xZ3"],
+)
+def test_group_hfolds_ladder_matches_each_hfold(g):
+    n = g.order
+    subsets = [set(), {0}, {n - 1}, {0, n // 2}, {1 % n, 2 % n, (n - 1) % n}]
+    for subset in subsets:
+        ladder = group_hfolds(g, subset, 6)
+        assert len(ladder) == 6
+        for h, fold in enumerate(ladder, 1):
+            assert fold == group_hfold(g, subset, h)
+            # brute force: every h-tuple of the subset, summed in the table
+            sums = {g.identity}
+            for _ in range(h):
+                sums = {g.add(a, b) for a in sums for b in subset}
+            assert fold == frozenset(sums)
+    assert group_hfolds(g, {0}, 0) == ()
+
+
+def test_group_hfold_errors_are_unchanged():
+    g = FiniteGroupTable.cyclic(5)
+    for h in (0, -3):
+        with pytest.raises(DomainError, match=f"h must be >= 1, got {h}"):
+            group_hfold(g, {1}, h)
+    for bad in ({5}, {-1}, {0, 9}):
+        with pytest.raises(DomainError, match="subset indices must lie inside"):
+            group_hfold(g, bad, 2)
+        with pytest.raises(DomainError, match="subset indices must lie inside"):
+            group_hfolds(g, bad, 3)
 
 
 def test_covering_orders():

@@ -118,6 +118,36 @@ def test_min_norm_inequality():
         min_norm_inequality([(1, 0), (1, 0, 0)])
 
 
+def test_min_norm_inequality_error_texts():
+    cases = [
+        ([], "at least one vector is required"),
+        ([(1, -1)], "negative coordinate in (1, -1)"),
+        ([(0, -2, 0)], "negative coordinate in (0, -2, 0)"),
+        ([(0, 0)], "zero vector not allowed"),
+        ([()], "zero vector not allowed"),
+        ([(), ()], "zero vector not allowed"),
+        ([(1, 0), (1, 0, 0)], "mixed dimensions"),
+        ([(1,), ()], "mixed dimensions"),
+        # the first offending vector decides, and within a vector the
+        # dimension is checked first
+        ([(1, 1), (0, 0), (1, -1)], "zero vector not allowed"),
+        ([(1, 1), (1, -1), (0, 0)], "negative coordinate in (1, -1)"),
+        ([(1, 1), (0, -1, 0)], "mixed dimensions"),
+    ]
+    for vectors, text in cases:
+        with pytest.raises(InputError) as err:
+            min_norm_inequality(vectors)
+        assert str(err.value) == text
+
+
+def test_min_norm_inequality_accepts_lattice_points():
+    pts = [LatticePoint((1, 0)), LatticePoint((0, 2)), (3, 1)]
+    chk = min_norm_inequality(pts)
+    assert (chk.k, chk.sum_norm_sq, chk.k_times_min_sq, chk.holds) == (3, 25, 3, True)
+    with pytest.raises(InputError, match="zero vector not allowed"):
+        min_norm_inequality([LatticePoint((0, 0))])
+
+
 def test_norm_tail_family():
     fam = NormTailFamily(((0, 0), (1, 1)), 2)
     assert fam.tail_threshold_sq(1) == 8

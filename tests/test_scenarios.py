@@ -50,15 +50,25 @@ def test_scenario_passes_at_defaults(sid):
     assert passed == total > 0
 
 
-# result_to_json of every scenario at seed 0: a change to any verdict or
-# evidence string fails here instead of passing unnoticed
-GOLDEN = Path(__file__).parent / "golden" / "verify-seed0.json"
+# result_to_json of every scenario at seeds 0 and 7: a change to any
+# verdict or evidence string fails here instead of passing unnoticed
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SEEDS = (0, 7)
 
 
-@pytest.mark.parametrize("sid", sorted(EXPECTED_IDS))
-def test_scenario_json_matches_golden(sid):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert result_to_json(run_scenario(sid, ScenarioOptions(seed=0))) == golden[sid]
+@pytest.mark.parametrize(
+    "seed, sid",
+    [
+        # seed 0 keeps the bare scenario id it had before seed 7 was pinned
+        pytest.param(seed, sid, id=sid if seed == 0 else f"{sid}-seed{seed}")
+        for seed in GOLDEN_SEEDS
+        for sid in sorted(EXPECTED_IDS)
+    ],
+)
+def test_scenario_json_matches_golden(seed, sid):
+    path = GOLDEN / f"verify-seed{seed}.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    assert result_to_json(run_scenario(sid, ScenarioOptions(seed=seed))) == golden[sid]
 
 
 def test_result_formats():

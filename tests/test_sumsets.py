@@ -40,11 +40,12 @@ from intersets.sumsets import (
     query,
     representation_count,
     symbolic_hfold_sum,
+    window_mask,
     windowed_hfold_sum,
 )
 from intersets.symbolic import Congruence, Finite, HalfTail, Union
 
-from oracles import fold_values, rep_count, windowed_fold
+from oracles import fold_values, members, rep_count, windowed_fold
 
 
 # -- closed forms -----------------------------------------------------------
@@ -273,6 +274,41 @@ def test_members_in_window_guard():
     assert members_in(r, Window(-2, 4)) == {0, 1, 2, 3, 4}
     with pytest.raises(DomainError):
         members_in(r, Window(-50, 50))
+
+
+def _decode(mask: int, window: Window) -> set[int]:
+    return {window.lo + i for i in range(window.size) if mask >> i & 1}
+
+
+@given(
+    st.one_of(_atoms, _unions),
+    st.integers(1, 3),
+    st.integers(-40, 40),
+    st.integers(0, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_window_mask_decodes_to_members_in(s, h, lo, width):
+    win = Window(lo, lo + width)
+    closed = Closed(s)
+    assert _decode(window_mask(closed, win), win) == members_in(closed, win)
+    assert members_in(closed, win) == set(members(s, win))
+    wide = Window(lo - 7, lo + width + 3)
+    windowed = windowed_hfold_sum(s, h, wide, wide.radius + 5)
+    for sub in (win, wide, Window(lo + width, lo + width)):
+        got = window_mask(windowed, sub)
+        assert got >> sub.size == 0
+        assert _decode(got, sub) == members_in(windowed, sub)
+
+
+def test_window_mask_checks_like_members_in():
+    win = Window(-10, 10)
+    r = windowed_hfold_sum(half_tail(0), 2, win, 40)
+    assert _decode(window_mask(r, Window(-2, 4)), Window(-2, 4)) == {0, 1, 2, 3, 4}
+    with pytest.raises(DomainError, match="exceeds the evaluated window"):
+        window_mask(r, Window(-50, 50))
+    huge = Window(0, MATERIALIZE_CAP)
+    with pytest.raises(CapError, match=f"window of size {huge.size} exceeds"):
+        window_mask(Closed(half_tail(0)), huge)
 
 
 # -- convolution kernels ----------------------------------------------------
