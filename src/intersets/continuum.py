@@ -103,6 +103,30 @@ def _fold_values(values, h: int) -> set:
     return {sum(c) for c in combinations_with_replacement(sorted(values), h)}
 
 
+def _nested_folds(
+    h: int, Q: int, r_max: int, denom: int, with_zero: bool
+) -> set[int] | None:
+    """F_Q, the h-fold sums of layer Q's offsets, when every F_q lies
+    inside F_{q-1}; None at the first layer whose fold set does not."""
+    prev: set[int] | None = None
+    for q in range(1, Q + 1):
+        folds = _fold_values(_perturbation_offsets(q, r_max, denom, with_zero), h)
+        if prev is not None and not folds <= prev:
+            return None
+        prev = folds
+    return prev
+
+
+def _window_points(folds, base_scaled, lo_s: int, hi_s: int) -> set[int]:
+    """Every sv + f inside [lo_s, hi_s], bisecting the sorted folds per sv."""
+    folds = sorted(folds)
+    points: set[int] = set()
+    for sv in base_scaled:
+        i, j = bisect_left(folds, lo_s - sv), bisect_right(folds, hi_s - sv)
+        points.update(map(sv.__add__, folds[i:j]))
+    return points
+
+
 def _base_sums(points, h: int, lo, hi) -> list:
     """Sums of h base points (with repetition) inside [lo, hi], sorted."""
     pts = sorted(points)
@@ -164,10 +188,13 @@ def verify_rational_theorem(
     on the common denominator D = lcm(1..r_max): the window is scaled once
     to the integer bounds ceil(lo*D) and floor(hi*D), each layer's fold
     values are sorted and bisected per base sum, and a distance d/D is
-    tested against h/Q as d*Q > h*D.  Every layer is checked against the
-    one before; while each is inside its predecessor, the intersection so
-    far is the newest layer, and only after the first layer that is not
-    does the intersection take set intersections.
+    tested against h/Q as d*Q > h*D.  Layer q is the base sums plus F_q,
+    the h-fold sums of its perturbations, so the fold sets are compared
+    first: when each F_q lies inside F_{q-1}, the layers nest and only the
+    deepest layer's window points are built.  Otherwise every layer's
+    points are built and checked against the layer before, and the
+    intersection takes set intersections from the first layer that is not
+    inside its predecessor.
     """
     if h < 2:
         raise InputError(f"h must be >= 2, got {h}")
@@ -189,22 +216,23 @@ def verify_rational_theorem(
     base = _base_sums(family.points, h, lo - h, hi + h)
     base_scaled = [int(s) * denom for s in base]
 
-    intersection: set[int] | None = None
+    # layer q is the union of sv + F_q over the base sums, so nested fold
+    # sets nest the layers and their intersection is layer Q
+    deepest = _nested_folds(h, Q, r_max, denom, family.include_base)
     monotone = True
-    prev: set[int] | None = None
-    for q in range(1, Q + 1):
-        offsets = _perturbation_offsets(q, r_max, denom, family.include_base)
-        folds = sorted(_fold_values(offsets, h))
-        layer: set[int] = set()
-        for sv in base_scaled:
-            i, j = bisect_left(folds, lo_s - sv), bisect_right(folds, hi_s - sv)
-            layer.update(map(sv.__add__, folds[i:j]))
-        if prev is not None and not layer <= prev:
-            monotone = False
-        prev = layer
-        # A <= B gives A & B == A, so nested layers need no intersection
-        intersection = layer if monotone else intersection & layer
-    assert intersection is not None
+    if deepest is not None:
+        intersection = _window_points(deepest, base_scaled, lo_s, hi_s)
+    else:
+        intersection = prev = None
+        for q in range(1, Q + 1):
+            offsets = _perturbation_offsets(q, r_max, denom, family.include_base)
+            layer = _window_points(_fold_values(offsets, h), base_scaled, lo_s, hi_s)
+            if prev is not None and not layer <= prev:
+                monotone = False
+            prev = layer
+            # A <= B gives A & B == A, so nested layers need no intersection
+            intersection = layer if monotone else intersection & layer
+        assert intersection is not None
 
     in_window = [s for s in base_scaled if lo_s <= s <= hi_s]
     missing = [s for s in in_window if s not in intersection]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice
 
 from .errors import ConstructionError, DomainError
@@ -29,7 +29,10 @@ class FiniteGroupTable:
     def add(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    # a table is frozen tuples, so every caller may share one; the bound
+    # caps what a run of large orders can hold
     @staticmethod
+    @lru_cache(maxsize=16)
     def cyclic(n: int) -> "FiniteGroupTable":
         if n < 1:
             raise ConstructionError(f"order must be >= 1, got {n}")

@@ -763,23 +763,48 @@ def _run_open_intervals(opts: ScenarioOptions) -> ScenarioResult:
 # lattice scenarios
 
 
+def _randbelow(rng: random.Random):
+    """A below(n) that draws what rng.randrange(n) draws: randrange's own
+    getrandbits rejection rule, without its argument checks."""
+    bits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    return below
+
+
+def _vector_min_samples(seed: int, count: int):
+    """count lists of k <= 8 vectors of dimension d <= 5 with entries in
+    0..9, one entry of each vector at least 1.  rng.randint(a, b) draws
+    a + below(b - a + 1), so these are the samples randint would give."""
+    below = _randbelow(random.Random(seed))
+    for _ in range(count):
+        k = 1 + below(8)
+        d = 1 + below(5)
+        vs = []
+        for _ in range(k):
+            v = [below(10) for _ in range(d)]
+            # Python evaluates the right side before the index, so the
+            # entry is drawn first here as it was with randint
+            v[below(d)] = 1 + below(9)
+            vs.append(tuple(v))
+        yield vs
+
+
 def _run_vector_min(opts: ScenarioOptions) -> ScenarioResult:
     count = opts.samples or 10_000
-    rng = random.Random(opts.seed)
     run = _Run(
         "vector-min",
         "the squared norm of a nonnegative vector sum is at least k times the minimum",
     )
 
     failures = []
-    for i in range(count):
-        k = rng.randint(1, 8)
-        d = rng.randint(1, 5)
-        vs = []
-        for _ in range(k):
-            v = [rng.randint(0, 9) for _ in range(d)]
-            v[rng.randrange(d)] = rng.randint(1, 9)
-            vs.append(tuple(v))
+    for i, vs in enumerate(_vector_min_samples(opts.seed, count)):
         if not min_norm_inequality(vs).holds:
             failures.append(i)
     run.check(

@@ -4,6 +4,7 @@ Everything here is deliberately naive: plain Python set arithmetic over
 elements listed one `contains` call at a time, no bitsets, no closed forms.
 """
 
+import random
 from itertools import product
 
 from intersets import ALL, EMPTY, Window, contains
@@ -64,3 +65,19 @@ def primitive_congruence_by_divisors(m: int, residues):
         if m % d == 0 and {(r + d) % m for r in res} == set(res):
             return Congruence(d, tuple(sorted({r % d for r in res})))
     return Congruence(m, tuple(res))
+
+
+def vector_min_samples(seed: int, count: int) -> list[list[tuple[int, ...]]]:
+    """The vector-min scenario's samples, drawn with randint and randrange."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 8)
+        d = rng.randint(1, 5)
+        vs = []
+        for _ in range(k):
+            v = [rng.randint(0, 9) for _ in range(d)]
+            v[rng.randrange(d)] = rng.randint(1, 9)
+            vs.append(tuple(v))
+        out.append(vs)
+    return out

@@ -93,8 +93,9 @@ def test_rational_theorem_gates():
         verify_rational_theorem(fam, 2, 6, (18, 0))
 
 
-def _naive_rational(fam, h, Q, window, r_max):
-    """The verifier's layer folds by plain Fraction filtering."""
+def _naive_rational(fam, h, Q, window, r_max, edit=None):
+    """The verifier's layer folds by plain Fraction filtering; edit(q, D,
+    offsets) may alter layer q's perturbation offsets."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     denom = math.lcm(*range(1, r_max + 1))
     lo_s, hi_s = lo * denom, hi * denom
@@ -104,6 +105,8 @@ def _naive_rational(fam, h, Q, window, r_max):
     for q in range(1, Q + 1):
         offs = {denom // r for r in range(q, r_max + 1)}
         offs |= {-o for o in offs} | ({0} if fam.include_base else set())
+        if edit is not None:
+            offs = edit(q, denom, offs)
         folds = fold_values(offs, h)
         layer = {
             sv + f
@@ -147,6 +150,61 @@ def test_rational_theorem_matches_naive_folds(include_base, h, Q, window):
     assert {k: getattr(rep, k) for k in naive} == naive
 
 
+def _count_window_points(monkeypatch) -> list:
+    calls = []
+    honest = continuum._window_points
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(continuum, "_window_points", counted)
+    return calls
+
+
+def _edit_offsets(monkeypatch, edit):
+    honest = continuum._perturbation_offsets
+
+    def offsets(q, r_max, d, with_zero):
+        return sorted(edit(q, d, set(honest(q, r_max, d, with_zero))))
+
+    monkeypatch.setattr(continuum, "_perturbation_offsets", offsets)
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_rational_theorem_builds_only_the_deepest_layer(monkeypatch, h):
+    # the rational scenario's family: its fold sets nest, so one layer's
+    # window points are built, not Q
+    fam = RationalPerturbFamily(tuple(4 * n for n in range(1, 11)), r_max=25)
+    calls = _count_window_points(monkeypatch)
+    rep = verify_rational_theorem(fam, h, 10, (0, 40))
+    assert rep.ok and rep.monotone
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "edit, monotone",
+    [
+        # layer Q - 1 loses 1/r_max, which layer Q keeps: only that pair of
+        # fold sets fails to nest, and so do those layers
+        (lambda q, d, offs: offs - {d // 14, -(d // 14)} if q == 4 else offs, False),
+        # layer Q gains an offset that takes every new sum past the window:
+        # its fold set does not nest but its layer does
+        (lambda q, d, offs: offs | {100 * d} if q == 5 else offs, True),
+    ],
+    ids=["middle-layer-drops", "far-offset"],
+)
+def test_rational_theorem_fold_sets_that_do_not_nest(monkeypatch, edit, monotone):
+    fam = RationalPerturbFamily((4, 8, 12, 16), r_max=14)
+    _edit_offsets(monkeypatch, edit)
+    calls = _count_window_points(monkeypatch)
+    rep = verify_rational_theorem(fam, 2, 5, (0, 40))
+    naive = _naive_rational(fam, 2, 5, (0, 40), 14, edit)
+    assert naive["monotone"] is monotone
+    assert {k: getattr(rep, k) for k in naive} == naive
+    assert len(calls) == 5
+
+
 def test_rational_theorem_intersects_layers_that_do_not_nest(monkeypatch):
     # the last layer also gets the perturbation 1/D, which no other layer
     # has, so it is not inside its predecessor and the intersection must
@@ -161,7 +219,10 @@ def test_rational_theorem_intersects_layers_that_do_not_nest(monkeypatch):
         return sorted(offs + [1]) if q == Q else offs
 
     monkeypatch.setattr(continuum, "_perturbation_offsets", offsets)
+    calls = _count_window_points(monkeypatch)
     rep = verify_rational_theorem(fam, h, Q, (lo, hi))
+    # the fold sets do not nest, so every layer's window points are built
+    assert len(calls) == Q
 
     base = [v * denom for v in fold_values(fam.points, h) if lo - h <= v <= hi + h]
     layers = [

@@ -20,6 +20,10 @@ def test_cyclic_table():
     g.validate()
     with pytest.raises(ConstructionError):
         FiniteGroupTable.cyclic(0)
+    with pytest.raises(ConstructionError):
+        FiniteGroupTable.cyclic(-3)
+    # tables are memoised: a repeat call shares the frozen table
+    assert FiniteGroupTable.cyclic(5) is g
 
 
 def test_direct_product():

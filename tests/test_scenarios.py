@@ -1,11 +1,13 @@
 """Every registered verification scenario passes at its default settings."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from intersets import InputError
+from intersets import scenarios
 from intersets.scenarios import (
     ScenarioOptions,
     format_result,
@@ -14,6 +16,8 @@ from intersets.scenarios import (
     run_scenario,
     scenario_ids,
 )
+
+from oracles import vector_min_samples
 
 EXPECTED_IDS = {
     "integers-tail",
@@ -96,3 +100,19 @@ def test_seed_changes_random_draws():
     assert [x.detail for x in a.assertions] != [x.detail for x in b.assertions]
     again = run_scenario("finiteness", ScenarioOptions(seed=1))
     assert [x.detail for x in again.assertions] == [x.detail for x in a.assertions]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 7, 41])
+def test_randbelow_matches_randrange(seed):
+    below = scenarios._randbelow(random.Random(seed))
+    ref = random.Random(seed)
+    # a shared stream: every draw of the sequence, rejections included
+    ns = [n for _ in range(40) for n in range(1, 13)]
+    assert [below(n) for n in ns] == [ref.randrange(n) for n in ns]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_vector_min_samples_match_randint(seed):
+    # the golden JSON shows no sample, so only this catches a changed stream
+    got = list(scenarios._vector_min_samples(seed, 10_000))
+    assert got == vector_min_samples(seed, 10_000)
