@@ -98,8 +98,8 @@ _REP_RANGE_CAP = 400_000
 # largest |target| of a multiplicative count or product window: divisors
 # are found by trial division up to sqrt(|target|)
 _MULT_TARGET_CAP = 10**10
-# (set, h) entries of the closed-fold memo: all 16 verify scenarios
-# together fill under 8,500
+# (set, h) entries of the closed-fold memo: one pass of all 16 verify
+# scenarios fills 8,087 to 8,260 at seeds 0, 5 and 7
 _CLOSED_FOLD_CACHE = 1 << 14
 
 
@@ -172,7 +172,14 @@ def window_mask(result: SumsetResult, window: Window) -> int:
 def sum2(x: IntSet, y: IntSet) -> IntSet | None:
     """Exact Minkowski sum of two normalized sets, or None if no rule fires.
 
-    A union distributes first: A + (B | C) = (A + B) | (A + C).  When
+    A finite set plus an optional ray closes first, in one step:
+    F1 | [t1, oo) + F2 | [t2, oo) = {a + b < t : a in F1, b in F2} | [t, oo)
+    for operands A and B with at least one ray, t = min(t1 + min B,
+    t2 + min A); two down-rays mirror it.  That rule defers for opposite
+    rays, and for two finite parts above _FINITE_FOLD_CAP, where no rule
+    closes.
+
+    Otherwise a union distributes: A + (B | C) = (A + B) | (A + C).  When
     exactly one operand is a Union of at most _FINITE_FOLD_CAP parts, the
     sum is the union of the partner's sums with each part, provided every
     part closes.  If one part does not close, the rules below run as if
@@ -181,6 +188,8 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
     """
     if isinstance(x, Empty) or isinstance(y, Empty):
         return EMPTY
+    if (res := _sum_finite_rays(x, y)) is not None:
+        return res
     if isinstance(x, Union) != isinstance(y, Union):
         res = _distribute(x, y) if isinstance(x, Union) else _distribute(y, x)
         if res is not None:
@@ -191,9 +200,6 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
                 return normalize(
                     Finite(tuple({e + f for e in a.elements for f in b.elements}))
                 )
-            if isinstance(b, HalfTail) or as_down_tail(b) is not None:
-                # the union of the shifted rays is the ray from min/max F
-                return _sum_ray(b, a)
             return union(*(shift(b, e) for e in a.elements))
     for a, b in ((x, y), (y, x)):
         # a cofinite class absorbs any infinite partner
@@ -230,29 +236,54 @@ def _distribute(u: Union, b: IntSet) -> IntSet | None:
     return union(*terms)
 
 
+def _finite_ray(s: IntSet) -> tuple[tuple[int, ...], int, int] | None:
+    """(F, d, t) when s is F alone (d = 0), F | [t, oo) (d = 1) or
+    F | (-oo, t] (d = -1), F the elements of a Finite part, maybe none."""
+    if isinstance(s, Finite):
+        return s.elements, 0, 0
+    fin = ()
+    if isinstance(s, Union) and len(s.parts) == 2 and isinstance(s.parts[0], Finite):
+        fin, s = s.parts[0].elements, s.parts[1]
+    if isinstance(s, HalfTail):
+        return fin, 1, s.threshold
+    b = as_down_tail(s)
+    return None if b is None else (fin, -1, b)
+
+
+def _sum_finite_rays(x: IntSet, y: IntSet) -> IntSet | None:
+    """sum2's finite-plus-ray rule, down-rays read through the mirror u = -1."""
+    fx, fy = _finite_ray(x), _finite_ray(y)
+    if fx is None or fy is None:
+        return None
+    (e1, d1, t1), (e2, d2, t2) = fx, fy
+    u = d1 or d2
+    if not u or d1 * d2 < 0 or min(len(e1), len(e2)) > _FINITE_FOLD_CAP:
+        return None
+    a, b = [u * e for e in e1], [u * e for e in e2]
+    # in u-coordinates rays point up, above the finite part, so a minimum
+    # is the least finite element, else the ray start
+    m1, m2 = min(a, default=u * t1), min(b, default=u * t2)
+    starts = [u * t1 + m2] if d1 else []
+    starts += [u * t2 + m1] if d2 else []
+    t = min(starts)
+    sums = {p + q for p in a for q in b if p + q < t}
+    ray = HalfTail(t) if u == 1 else down_tail(-t)
+    return normalize(Union((Finite(tuple(u * v for v in sums)), ray)))
+
+
 def _sum_ray(ray: IntSet, b: IntSet) -> IntSet | None:
-    """A half-line plus an arbitrary set."""
+    """A half-line plus a set that is neither cofinite-class nor a
+    finite set plus a ray pointing the same way."""
     if isinstance(ray, HalfTail):
-        if isinstance(b, (Cofinite, Tail, Congruence)) or as_down_tail(b) is not None:
+        if isinstance(b, Congruence) or as_down_tail(b) is not None:
             return ALL  # partner unbounded below
-        if isinstance(b, HalfTail):
-            return half_tail(ray.threshold + b.threshold)
         m = min_element(b)
-        if m is not None:
-            # every sum is >= t + min(b), and every such value occurs
-            return half_tail(ray.threshold + m)
-        return None
-    bd = as_down_tail(ray)
-    if bd is None:
-        return None
-    if isinstance(b, (Cofinite, Tail, Congruence, HalfTail)):
+        # every sum is >= t + min(b), and every such value occurs
+        return None if m is None else half_tail(ray.threshold + m)
+    if isinstance(b, (Congruence, HalfTail)):
         return ALL  # partner unbounded above
-    if (bd2 := as_down_tail(b)) is not None:
-        return down_tail(bd + bd2)
     m = max_element(b)
-    if m is not None:
-        return down_tail(bd + m)
-    return None
+    return None if m is None else down_tail(as_down_tail(ray) + m)
 
 
 def symbolic_hfold_sum(

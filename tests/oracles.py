@@ -33,6 +33,36 @@ def windowed_fold(s, h: int, window: Window, radius: int) -> set[int]:
     return {x for x in fold_values(values, h) if window.lo <= x <= window.hi}
 
 
+def windowed_sum(x, y, window: Window, radius: int) -> set[int]:
+    """Window slice of the sums a + b of members a of x and b of y within
+    radius."""
+    near = Window(-radius, radius)
+    ys = members(y, near)
+    sums = {a + b for a in members(x, near) for b in ys}
+    return {v for v in sums if window.lo <= v <= window.hi}
+
+
+def layer_fold_intersection(family, h: int, window: Window, Q: int, radius: int):
+    """Window slice of the intersection over q = 1..Q of the h-fold sums of
+    layer q, each folded from the layer's members within radius."""
+    acc = windowed_fold(family.set_at(1), h, window, radius)
+    for q in range(2, Q + 1):
+        acc &= windowed_fold(family.set_at(q), h, window, radius)
+    return acc
+
+
+def recheck_certificate(family, h: int, window: Window, Q: int, radius: int):
+    """(certified, brute force): the window members of the closed form of
+    family.certificate(h), and the depth-Q layer fold intersection it
+    claims to equal there.  Works for any family kind with a certificate;
+    Q and radius must reach far enough that deeper layers and farther
+    summands change nothing in the window."""
+    cert = family.certificate(h)
+    assert cert is not None and cert.h == h
+    got = set(members(cert.closed_form, window))
+    return got, layer_fold_intersection(family, h, window, Q, radius)
+
+
 def rep_count(values, h: int, x: int, combine=sum) -> int:
     """Ordered h-tuple representations of x, by exhaustion; combine is sum
     for additive counts and math.prod for multiplicative ones."""
