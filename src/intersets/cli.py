@@ -24,7 +24,7 @@ from .serialize import (
     set_to_json,
 )
 from .sumsets import Closed, members_in, representation_count, symbolic_hfold_sum
-from .symbolic import Window
+from .symbolic import Window, check_cap
 
 
 def _parse_window(text: str) -> Window:
@@ -191,11 +191,11 @@ def _cmd_repfn(args) -> int:
     s = parse_set_expr(args.set_expr)
     if args.target is None and args.window is None:
         raise InputError("repfn needs --target X or --window LO:HI")
-    targets = (
-        [args.target]
-        if args.target is not None
-        else list(range(args.window.lo, args.window.hi + 1))
-    )
+    if args.target is not None:
+        targets = [args.target]
+    else:
+        check_cap(args.window)  # before the window's targets are listed
+        targets = range(args.window.lo, args.window.hi + 1)
     rows = []
     for x in targets:
         rc = representation_count(

@@ -855,32 +855,25 @@ def _run_lattice(opts: ScenarioOptions) -> ScenarioResult:
 # registry
 
 
-_REGISTRY: dict = {}
-
-
-def _register(sid: str, runner) -> None:
-    _REGISTRY[sid] = runner
-
-
-for _sid, _runner in (
-    ("integers-tail", _run_integers_tail),
-    ("rational", _run_rational),
-    ("open-intervals", _run_open_intervals),
-    ("finiteness", _run_finiteness),
-    ("finiteness-H", _run_finiteness_H),
-    ("subgroup", _run_subgroup),
-    ("surjection", _run_surjection),
-    ("cofinite-basis", _run_cofinite_basis),
-    ("sharp", _run_sharp),
-    ("congruence-chain", _run_congruence_chain),
-    ("vector-min", _run_vector_min),
-    ("lattice", _run_lattice),
-    ("countable", _run_countable),
-    ("product-closure", _run_product_closure),
-    ("affine", _run_affine),
-    ("simple-lemma", _run_simple_lemma),
-):
-    _register(_sid, _runner)
+# verify-suite and scenario_ids() run the scenarios in this order
+_REGISTRY = {
+    "integers-tail": _run_integers_tail,
+    "rational": _run_rational,
+    "open-intervals": _run_open_intervals,
+    "finiteness": _run_finiteness,
+    "finiteness-H": _run_finiteness_H,
+    "subgroup": _run_subgroup,
+    "surjection": _run_surjection,
+    "cofinite-basis": _run_cofinite_basis,
+    "sharp": _run_sharp,
+    "congruence-chain": _run_congruence_chain,
+    "vector-min": _run_vector_min,
+    "lattice": _run_lattice,
+    "countable": _run_countable,
+    "product-closure": _run_product_closure,
+    "affine": _run_affine,
+    "simple-lemma": _run_simple_lemma,
+}
 
 
 def scenario_ids() -> tuple[str, ...]:

@@ -5,9 +5,11 @@ sets, congruence classes, two-sided tails {x : |x - c| >= r}, half tails
 {x : x >= t}, unions, affine images (unit * X + shift with unit in {1,-1}),
 and lazy intersections for the few shape pairs that admit no rewrite.
 Every membership query is exact; windowed materialization is exact within
-the window.  `normalize` brings a description to a canonical form so that
-equal sets (at desk scale, below the expansion caps) compare structurally
-equal.
+the window.  `normalize` brings a description to a normal form, and each
+normal form is a fixed point of `normalize` at every scale.  Only the
+promise that equal sets compare structurally equal is limited to desk
+scale, below the expansion caps: past them a rewrite may stay lazy, and
+two forms of one set may differ.
 """
 
 from __future__ import annotations
@@ -345,7 +347,7 @@ def _co_interval(a: int, b: int) -> IntSet:
         return Tail(c, b - c + 1)
     if b - a + 1 <= EXPAND_CAP:
         return Cofinite(tuple(range(a, b + 1)))
-    return Union((Affine(-1, a - 1, HalfTail(0)), HalfTail(b + 1)))
+    return Union((HalfTail(b + 1), down_tail(a - 1)))
 
 
 def co_interval_bounds(s: IntSet) -> tuple[int, int] | None:
@@ -356,7 +358,7 @@ def co_interval_bounds(s: IntSet) -> tuple[int, int] | None:
         e = s.excluded
         return (e[0], e[-1]) if e and e[-1] - e[0] + 1 == len(e) else None
     if isinstance(s, Union) and len(s.parts) == 2:
-        down, up = s.parts
+        up, down = s.parts
         b = as_down_tail(down)
         if b is not None and isinstance(up, HalfTail) and b + 1 < up.threshold:
             return (b + 1, up.threshold - 1)
@@ -397,20 +399,24 @@ def _co_desc(s: IntSet):
 
 
 def _desc_intersect(d1, d2):
-    """Intersection of two excluded-set descriptors."""
+    """Intersection of two excluded-set descriptors; an interval end may be
+    None, marking an open end."""
     if d1[0] == "list" and d2[0] == "list":
         s2 = set(d2[1])
         return ("list", tuple(x for x in d1[1] if x in s2))
     if d1[0] == "interval" and d2[0] == "interval":
-        a, b = max(d1[1], d2[1]), min(d1[2], d2[2])
-        return ("interval", a, b) if a <= b else ("list", ())
+        a = max((v for v in (d1[1], d2[1]) if v is not None), default=None)
+        b = min((v for v in (d1[2], d2[2]) if v is not None), default=None)
+        empty = a is not None and b is not None and a > b
+        return ("list", ()) if empty else ("interval", a, b)
     lst = d1 if d1[0] == "list" else d2
     iv = d2 if d1[0] == "list" else d1
-    return ("list", tuple(x for x in lst[1] if iv[1] <= x <= iv[2]))
+    return ("list", tuple(x for x in lst[1] if _within(x, iv[1], iv[2])))
 
 
-def _desc_size(d) -> int:
-    return len(d[1]) if d[0] == "list" else d[2] - d[1] + 1
+def _within(x: int, a: int | None, b: int | None) -> bool:
+    """a <= x <= b, where a None bound is open."""
+    return (a is None or a <= x) and (b is None or x <= b)
 
 
 def _primitive_congruence(m: int, residues) -> IntSet:
@@ -752,170 +758,117 @@ def _norm_affine(s: Affine) -> IntSet:
 
 
 def _norm_union(parts) -> IntSet:
-    flat: list[IntSet] = []
+    """The normal form of a union, built around one gap G.
+
+    G holds the points that no cofinite-class part and no ray covers: a
+    list, or an interval [a, b] where None marks an open end.  The finite
+    points trim an interval's finite ends, and an interval that then fits
+    in EXPAND_CAP is listed.  A listed G absorbs every other part: the
+    union is the cofinite set of the points of G that no part covers.
+    Otherwise the union is G's complement (nothing, a ray or a
+    co-interval), the finite points inside G that no congruence or lazy
+    part covers, and those parts, less every part another one contains.
+    """
+    gap = ("interval", None, None)
+    fin: set[int] = set()
+    congs: list[Congruence] = []
+    others: list[IntSet] = []
     stack = [normalize(p) for p in parts]
     while stack:
         p = stack.pop()
-        if isinstance(p, Empty):
-            continue
-        if p == ALL:
-            return ALL
         if isinstance(p, Union):
             stack.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        return EMPTY
-
-    fin: set[int] = set()
-    descs = []
-    congs: list[Congruence] = []
-    half: int | None = None
-    down: int | None = None
-    others: list[IntSet] = []
-    for p in flat:
-        if isinstance(p, Finite):
+        elif isinstance(p, Finite):
             fin.update(p.elements)
-        elif (d := _co_desc(p)) is not None:
-            descs.append(d)
         elif isinstance(p, Congruence):
             congs.append(p)
         elif isinstance(p, HalfTail):
-            half = p.threshold if half is None else min(half, p.threshold)
+            gap = _desc_intersect(gap, ("interval", None, p.threshold - 1))
         elif (b := as_down_tail(p)) is not None:
-            down = b if down is None else max(down, b)
-        else:
+            gap = _desc_intersect(gap, ("interval", b + 1, None))
+        elif (d := _co_desc(p)) is not None:
+            gap = _desc_intersect(gap, d)
+        elif not isinstance(p, Empty):
             others.append(p)
+
+    if gap[0] == "interval":
+        _, a, b = gap
+        while a is not None and a in fin:
+            a += 1
+        while b is not None and b in fin:
+            b -= 1
+        if a is not None and b is not None and b - a < EXPAND_CAP:
+            gap = ("list", range(a, b + 1))
+    if gap[0] == "list":
+        rest = congs + others
+        return _co_from_list(
+            v for v in gap[1] if v not in fin and not any(contains(p, v) for p in rest)
+        )
 
     merged = _merge_congruences(congs)
     if merged is ALL:
         return ALL
-    congs = merged
-
-    # opposite rays either cover Z or leave a single excluded interval
-    if half is not None and down is not None:
-        if half <= down + 1:
-            return ALL
-        descs.append(("interval", down + 1, half - 1))
-        half = down = None
-
-    if descs:
-        e = descs[0]
-        for d in descs[1:]:
-            e = _desc_intersect(e, d)
-        if e[0] == "interval" and _desc_size(e) <= EXPAND_CAP:
-            e = ("list", tuple(range(e[1], e[2] + 1)))
-        if e[0] == "list":
-            rest = list(congs) + others
-            if half is not None:
-                rest.append(HalfTail(half))
-            if down is not None:
-                rest.append(down_tail(down))
-            kept = tuple(
-                v
-                for v in e[1]
-                if v not in fin and not any(contains(p, v) for p in rest)
-            )
-            return _co_from_list(kept)
-        # huge interval gap: absorb rays and boundary points only
-        a, b = e[1], e[2]
-        if half is not None:
-            b = min(b, half - 1)
-        if down is not None:
-            a = max(a, down + 1)
-        while a in fin:
-            fin.discard(a)
-            a += 1
-        while b in fin:
-            fin.discard(b)
-            b -= 1
-        if b < a:
-            return ALL
-        co_part = _co_interval(a, b)
-        inner_fin = {v for v in fin if a <= v <= b}
-        pieces: list[IntSet] = [co_part]
-        if inner_fin:
-            pieces.append(Finite(tuple(sorted(inner_fin))))
-        pieces.extend(congs)
-        pieces.extend(others)
-        return _assemble_union(pieces)
-
-    # no cofinite-class part
-    pool = set(fin)
-    if half is not None:
-        while half - 1 in pool:
-            pool.discard(half - 1)
-            half -= 1
-    if down is not None:
-        while down + 1 in pool:
-            pool.discard(down + 1)
-            down += 1
-    if half is not None and down is not None and half <= down + 1:
-        return ALL
-    rest: list[IntSet] = list(congs) + others
-    if half is not None:
-        rest.append(HalfTail(half))
-    if down is not None:
-        rest.append(down_tail(down))
-    pool = {v for v in pool if not any(contains(p, v) for p in rest)}
-    pieces = ([Finite(tuple(sorted(pool)))] if pool else []) + rest
+    rest = merged + others  # a and b hold the trimmed interval gap
+    pool = sorted(
+        v for v in fin if _within(v, a, b) and not any(contains(p, v) for p in rest)
+    )
+    pieces = ([Finite(tuple(pool))] if pool else []) + rest
+    if a is not None and b is not None:
+        co = _co_interval(a, b)  # a Tail, or the two rays of an even gap
+        pieces += co.parts if isinstance(co, Union) else [co]
+    elif a is not None:
+        pieces.append(down_tail(a - 1))
+    elif b is not None:
+        pieces.append(HalfTail(b + 1))
     return _assemble_union(pieces)
 
 
-def _assemble_union(pieces: list[IntSet]) -> IntSet:
+def _subsume(pieces) -> list[IntSet]:
+    """The pieces less each one a piece kept before it contains, and less
+    each kept piece that a later one contains."""
     kept: list[IntSet] = []
     for p in pieces:
-        if isinstance(p, Empty):
-            continue
-        if any(is_subset(p, q) for q in kept):
-            continue
-        kept = [q for q in kept if not is_subset(q, p)]
-        kept.append(p)
-    if not kept:
-        return EMPTY
-    if len(kept) == 1:
-        return kept[0]
-    return Union(tuple(sorted(kept, key=_key)))
-
-
-def _merge_congruences(congs: list[Congruence]):
-    """Merge congruence parts of a union; returns list of parts or ALL."""
-    if not congs:
-        return []
-    by_mod: dict[int, set[int]] = {}
-    for c in congs:
-        by_mod.setdefault(c.modulus, set()).update(c.residues)
-    items = sorted(by_mod.items())
-    lcm = 1
-    for m, _ in items:
-        lcm = math.lcm(lcm, m)
-        if lcm > LCM_CAP:
-            break
-    if lcm <= LCM_CAP:
-        res: set[int] = set()
-        for m, rs in items:
-            for r in rs:
-                res.update(range(r, lcm, m))
-        out = _primitive_congruence(lcm, res)
-        if out == ALL:
-            return ALL
-        if isinstance(out, Empty):
-            return []
-        return [out]
-    parts = []
-    for m, rs in items:
-        c = _primitive_congruence(m, rs)
-        if c == ALL:
-            return ALL
-        if not isinstance(c, Empty):
-            parts.append(c)
-    kept: list[IntSet] = []
-    for p in parts:
         if any(is_subset(p, q) for q in kept):
             continue
         kept = [q for q in kept if not is_subset(q, p)]
         kept.append(p)
     return kept
+
+
+def _assemble_union(pieces: list[IntSet]) -> IntSet:
+    kept = _subsume(pieces)
+    if len(kept) < 2:
+        return kept[0] if kept else EMPTY
+    return Union(tuple(sorted(kept, key=_key)))
+
+
+def _merge_congruences(congs: list[Congruence]):
+    """Merge congruence parts of a union; returns a list of parts or ALL.
+
+    Classes of one modulus merge, and all of them merge into one class
+    when the lcm of their moduli fits in LCM_CAP.  Past that cap, a class
+    that another contains is dropped, and the rest are merged again until
+    nothing changes: a merged class may have a smaller modulus.
+    """
+    if not congs:
+        return []
+    by_mod: dict[int, set[int]] = {}
+    for c in congs:
+        by_mod.setdefault(c.modulus, set()).update(c.residues)
+    lcm = 1
+    for m in by_mod:
+        lcm = math.lcm(lcm, m)
+        if lcm > LCM_CAP:
+            break
+    if lcm <= LCM_CAP:
+        res = {x for m, rs in by_mod.items() for r in rs for x in range(r, lcm, m)}
+        out = _primitive_congruence(lcm, res)
+        return ALL if out == ALL else [out]
+    parts = [_primitive_congruence(m, rs) for m, rs in sorted(by_mod.items())]
+    if ALL in parts:
+        return ALL
+    kept = _subsume(parts)
+    return kept if set(kept) == set(congs) else _merge_congruences(kept)
 
 
 def _norm_intersection(parts) -> IntSet:

@@ -162,6 +162,13 @@ def test_repfn_mult_cap_exit_code(capsys):
     assert "cap" in capsys.readouterr().err.lower()
 
 
+def test_repfn_window_cap_exit_code(capsys):
+    # checked before the 3,000,001 targets are listed
+    assert main(["repfn", "--set", "finite:0,1", "--h", "2",
+                 "--window=-1500000:1500000"]) == 3
+    assert "cap" in capsys.readouterr().err.lower()
+
+
 def test_repfn_needs_target_or_window(capsys):
     assert main(["repfn", "--set", "finite:0,1", "--h", "2"]) == 2
 

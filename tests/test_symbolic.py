@@ -102,6 +102,58 @@ deep_sets = st.recursive(
 
 PROBE = list(range(-60, 61))
 
+# terms at the expansion cap, which deep_sets never reach: two-sided tails
+# with gaps up to four times EXPAND_CAP, rays within three times it,
+# excluded intervals of even length, and points near where those edges
+# fall, so that rays and finite points cut wide gaps below the cap
+_CAP = EXPAND_CAP
+_EDGES = (_CAP // 2, _CAP, 2 * _CAP, 3 * _CAP)
+edge_points = st.sampled_from(_EDGES).flatmap(
+    lambda e: st.tuples(st.sampled_from((e, -e)), st.integers(-6, 6))
+).map(sum)
+spots = st.one_of(st.integers(-3 * _CAP, 3 * _CAP), edge_points)
+
+
+@st.composite
+def gap_unions(draw):
+    """A union around one wide excluded interval [a, b], cut near its ends
+    by a ray or by points, with classes and points inside."""
+    a = draw(st.integers(-3 * _CAP, _CAP))
+    b = a + draw(st.integers(_CAP - 20, 2 * _CAP))
+    cut = draw(st.integers(-20, _CAP + 20))
+    rays = st.sampled_from((HalfTail(a + cut), down_tail(b - cut)))
+    near = st.one_of(st.integers(a, a + 6), st.integers(b - 6, b), st.integers(a, b))
+    parts = [_co_interval(a, b), Finite(_srt(draw(st.lists(near, max_size=8))))]
+    parts += draw(st.lists(rays, max_size=1))
+    parts += draw(st.lists(st.one_of(congruences, raw_sets), max_size=2))
+    return Union(tuple(draw(st.permutations(parts))))
+
+
+wide_leaves = st.one_of(
+    base_sets,
+    gap_unions(),
+    st.tuples(
+        st.integers(-20, 20), st.integers(_CAP // 2 - 3, 2 * _CAP)
+    ).map(lambda t: Tail(*t)),
+    spots.map(HalfTail),
+    spots.map(down_tail),
+    st.tuples(
+        spots, st.one_of(st.integers(1, 8), st.integers(_CAP // 2 - 2, _CAP))
+    ).map(lambda t: _co_interval(t[0], t[0] + 2 * t[1] - 1)),
+    st.lists(edge_points, min_size=1, max_size=6).map(lambda xs: Finite(_srt(xs))),
+)
+wide_sets = gap_unions() | st.recursive(
+    wide_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=4).map(lambda ps: Union(tuple(ps))),
+        st.tuples(kids, kids).map(Intersection),
+        st.tuples(st.sampled_from((1, -1)), st.integers(-8, 8), kids).map(
+            lambda t: Affine(t[0], t[1], t[2])
+        ),
+    ),
+    max_leaves=8,
+)
+
 
 def _unmarked(s):
     """A fresh copy of the term tree, carrying no normal-form mark."""
@@ -112,12 +164,39 @@ def _unmarked(s):
     return dataclasses.replace(s)
 
 
-@given(deep_sets)
-@settings(max_examples=150)
+@given(st.one_of(deep_sets, wide_sets))
+@settings(max_examples=300)
 def test_normalize_is_idempotent(s):
     # normalize returns a marked normal form as is, so recompute it uncached
     n = normalize(s)
     assert symbolic._normalize.__wrapped__(n) == n
+
+
+def test_ray_cuts_a_wide_gap_below_the_cap():
+    # the ray leaves ten points of the tail's gap, which are listed, and
+    # the even class absorbs half of them
+    n = union(tail(0, EXPAND_CAP + 1), half_tail(-EXPAND_CAP + 10), congruence(2, [0]))
+    assert n == cofinite(range(-EXPAND_CAP + 1, -EXPAND_CAP + 10, 2))
+    assert symbolic._normalize.__wrapped__(n) == n
+
+
+def test_class_absorbs_points_of_a_wide_gap():
+    # the even class covers 0, so both unions are one set with one form
+    wide = (tail(0, EXPAND_CAP + 1), congruence(2, [0]))
+    n = union(*wide, finite([0, 1]))
+    assert n == union(*wide, finite([1]))
+    assert n == Union((Finite((1,)), Congruence(2, (0,)), Tail(0, EXPAND_CAP + 1)))
+
+
+def test_classes_past_the_lcm_cap_merge_until_nothing_changes():
+    # 4Z and 4Z + 2 merge into 2Z, which with the odd class covers Z
+    wide = (congruence(1009, [0]), congruence(1013, [0]))
+    halves = (congruence(4, [0]), congruence(4, [2]), congruence(2, [1]))
+    assert union(*halves, *wide) == ALL
+    # 3039Z lies in 3Z; without it the lcm 3 * 1009 fits under the cap
+    n = union(congruence(3, [0]), congruence(3039, [0]), congruence(1009, [0]))
+    assert n == union(congruence(3, [0]), congruence(1009, [0]))
+    assert isinstance(n, Congruence) and n.modulus == 3027
 
 
 def test_punctured_class_keeps_its_run_canonical():
@@ -153,11 +232,28 @@ def test_the_mark_is_invisible(s):
     assert set_to_json(u) == set_to_json(n)
 
 
-@given(raw_sets)
-@settings(max_examples=150)
+def _edges(s) -> set[int]:
+    """The points next to which membership in a raw term may change."""
+    if isinstance(s, (Union, Intersection)):
+        return set().union(*map(_edges, s.parts))
+    if isinstance(s, Affine):
+        return {s.unit * x + s.shift for x in _edges(s.inner)}
+    if isinstance(s, Tail):
+        return {s.center - s.radius, s.center + s.radius}
+    if isinstance(s, HalfTail):
+        return {s.threshold}
+    if isinstance(s, (Finite, Cofinite)):
+        e = s.elements if isinstance(s, Finite) else s.excluded
+        return set(e[:1] + e[-1:])
+    return set()
+
+
+@given(st.one_of(raw_sets, wide_sets))
+@settings(max_examples=200)
 def test_normalize_preserves_membership(s):
     n = normalize(s)
-    assert all(contains(s, x) == contains(n, x) for x in PROBE)
+    near = {x + d for x in _edges(s) for d in range(-2, 3)}
+    assert all(contains(s, x) == contains(n, x) for x in near.union(PROBE))
 
 
 @given(raw_sets, raw_sets)
