@@ -69,6 +69,12 @@ class HConfig:
     gen_radius: int | None = None
     deep_scale: int = 2
 
+    def __post_init__(self):
+        for name in ("Q", "gen_radius", "deep_scale"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass(frozen=True)
 class HVerdict:

@@ -6,6 +6,12 @@ set operation and distance bound is integer arithmetic.  Every summand of
 an h-fold sum splits into a base point plus a perturbation chosen
 independently, so layer folds are computed as (sums of h base points)
 plus (sums of h perturbations) instead of tuples over the full point set.
+
+Interval families use a common denominator too: D = lcm(1..Q) times the
+lcm of the base points' denominators, so every layer endpoint b +- 1/q is
+an integer over D.  One set of interval helpers (merge, intersect,
+Minkowski sum) serves both the integer verifier and the Fraction
+`IntervalUnion` API; Fractions appear only in reports.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from .errors import ConstructionError, InputError
@@ -21,8 +28,16 @@ from .errors import ConstructionError, InputError
 Interval = tuple[Fraction, Fraction]
 
 
+def _exact(values, error: type, what: str) -> tuple:
+    """The values, if each is an int or a Fraction; floats and bools raise."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise error(f"{what} must be ints or Fractions, got {x!r}")
+    return tuple(values)
+
+
 def _validate_base_points(points) -> tuple:
-    pts = tuple(points)
+    pts = _exact(tuple(points), ConstructionError, "base points")
     if not pts:
         raise ConstructionError("at least one base point is required")
     if pts[0] <= 1:
@@ -206,7 +221,7 @@ def verify_rational_theorem(
             f"r_max={r_max} cannot express the zero-sum perturbations; "
             f"need r_max >= 2Q = {2 * Q}"
         )
-    lo, hi = Fraction(value_window[0]), Fraction(value_window[1])
+    lo, hi = map(Fraction, _exact(value_window[:2], InputError, "window edges"))
     if lo >= hi:
         raise InputError(f"empty value window [{lo}, {hi}]")
 
@@ -271,6 +286,64 @@ def verify_rational_theorem(
 
 # ---------------------------------------------------------------------------
 # open interval unions
+#
+# The helpers below take sorted tuples of open (lo, hi) pairs and never
+# coerce endpoints: IntervalUnion runs them on Fractions, and
+# verify_open_theorem on integers over a common denominator.
+
+
+def _merge(pairs) -> tuple:
+    """Sorted disjoint union of the nonempty pairs.  Overlapping intervals
+    merge; intervals that merely touch stay apart, since (a,b) | (b,c)
+    misses b."""
+    merged: list = []
+    for a, b in sorted(p for p in pairs if p[0] < p[1]):
+        if merged and a < merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return tuple(merged)
+
+
+def _intersect(xs, ys) -> tuple:
+    """Intersection of two merged unions in one sweep."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (a, b), (c, d) = xs[i], ys[j]
+        lo, hi = max(a, c), min(b, d)
+        if lo < hi:
+            out.append((lo, hi))
+        if b <= d:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def _minkowski(xs, ys) -> tuple:
+    """Merged pairwise sums; (a,b)+(c,d) = (a+c, b+d)."""
+    return _merge((a + c, b + d) for a, b in xs for c, d in ys)
+
+
+def _contains(intervals, x) -> bool:
+    # only the last interval starting below x can hold it
+    i = bisect_left(intervals, (x, x))
+    return i > 0 and x < intervals[i - 1][1]
+
+
+def _hfold(intervals, h: int) -> tuple:
+    acc = intervals
+    for _ in range(h - 1):
+        acc = _minkowski(acc, intervals)
+    return acc
+
+
+def _layer(points, r, punctured: bool) -> tuple:
+    if punctured:
+        return _merge(p for b in points for p in ((b - r, b), (b, b + r)))
+    return _merge((b - r, b + r) for b in points)
 
 
 @dataclass(frozen=True)
@@ -285,68 +358,33 @@ class IntervalUnion:
 
     @staticmethod
     def build(pairs) -> "IntervalUnion":
-        items = sorted(
-            (Fraction(a), Fraction(b)) for a, b in pairs if Fraction(a) < Fraction(b)
-        )
-        merged: list[list[Fraction]] = []
-        for a, b in items:
-            if merged and a < merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return IntervalUnion(tuple((a, b) for a, b in merged))
+        return IntervalUnion(_merge((Fraction(a), Fraction(b)) for a, b in pairs))
 
     @property
     def is_empty(self) -> bool:
         return not self.intervals
 
     def contains(self, x) -> bool:
-        x = Fraction(x)
-        i = bisect_left(self.intervals, (x, x)) - 1
-        for j in (i, i + 1):
-            if 0 <= j < len(self.intervals):
-                a, b = self.intervals[j]
-                if a < x < b:
-                    return True
-        return False
+        return _contains(self.intervals, Fraction(x))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.build(self.intervals + other.intervals)
+        return IntervalUnion(_merge(self.intervals + other.intervals))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalUnion(tuple(out))
+        return IntervalUnion(_intersect(self.intervals, other.intervals))
 
     def restrict(self, lo, hi) -> "IntervalUnion":
         return self.intersect(IntervalUnion.build([(lo, hi)]))
 
     def minkowski(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.build(
-            (a + c, b + d)
-            for a, b in self.intervals
-            for c, d in other.intervals
-        )
+        return IntervalUnion(_minkowski(self.intervals, other.intervals))
 
 
 def minkowski_hfold(u: IntervalUnion, h: int) -> IntervalUnion:
     """Exact h-fold Minkowski sum; (a,b)+(c,d) = (a+c, b+d) throughout."""
     if h < 1:
         raise InputError(f"h must be >= 1, got {h}")
-    acc = u
-    for _ in range(h - 1):
-        acc = acc.minkowski(u)
-    return acc
+    return IntervalUnion(_hfold(u.intervals, h))
 
 
 def interval_layer(points, q: int, punctured: bool = True) -> IntervalUnion:
@@ -357,16 +395,9 @@ def interval_layer(points, q: int, punctured: bool = True) -> IntervalUnion:
     """
     if q < 1:
         raise InputError(f"layer index must be >= 1, got {q}")
-    r = Fraction(1, q)
-    pairs = []
-    for b in points:
-        b = Fraction(b)
-        if punctured:
-            pairs.append((b - r, b))
-            pairs.append((b, b + r))
-        else:
-            pairs.append((b - r, b + r))
-    return IntervalUnion.build(pairs)
+    return IntervalUnion(
+        _layer([Fraction(b) for b in points], Fraction(1, q), punctured)
+    )
 
 
 @dataclass(frozen=True)
@@ -400,33 +431,43 @@ def verify_open_theorem(
     h/Q of it; at h = 1 the same data shows the punctured layers closing
     in on the (absent) base points.  The full-interval variant must keep
     every base sum at every h.
+
+    All arithmetic is integer on the common denominator D = lcm(1..Q)
+    times the lcm of the base points' denominators, so layer q is the int
+    pairs (bD - D/q, bD) and (bD, bD + D/q), or (bD - D/q, bD + D/q)
+    unpunctured, and the bound h/Q is h*D/Q.  Endpoints and base sums are
+    integers, so the window is compared through the integers next to
+    lo*D and hi*D.  Endpoints become Fractions only in the report.
     """
     pts = _validate_base_points(points)
     if h < 1:
         raise InputError(f"h must be >= 1, got {h}")
     if Q < 1:
         raise InputError(f"Q must be >= 1, got {Q}")
-    lo, hi = Fraction(value_window[0]), Fraction(value_window[1])
+    lo, hi = map(Fraction, _exact(value_window[:2], InputError, "window edges"))
     if lo >= hi:
         raise InputError(f"empty value window ({lo}, {hi})")
 
-    trunc: IntervalUnion | None = None
-    primed: IntervalUnion | None = None
-    for q in range(1, Q + 1):
-        fold = minkowski_hfold(interval_layer(pts, q, punctured=True), h)
-        pfold = minkowski_hfold(interval_layer(pts, q, punctured=False), h)
-        trunc = fold if trunc is None else trunc.intersect(fold)
-        primed = pfold if primed is None else primed.intersect(pfold)
-    assert trunc is not None and primed is not None
+    denom = math.lcm(*range(1, Q + 1)) * math.lcm(*(b.denominator for b in pts))
+    scaled = [int(b * denom) for b in pts]
 
+    def depth_q(punctured: bool) -> tuple:
+        layers = (_layer(scaled, denom // q, punctured) for q in range(1, Q + 1))
+        return reduce(_intersect, (_hfold(layer, h) for layer in layers))
+
+    trunc, primed = depth_q(True), depth_q(False)
+
+    # an integer x exceeds lo*D iff it exceeds floor(lo*D), and is at least
+    # lo*D iff it is at least ceil(lo*D); likewise for hi*D
+    lo_s, hi_s = lo * denom, hi * denom
+    lo_c, hi_f = math.ceil(lo_s), math.floor(hi_s)
     # the window selects components; a component straddling the edge is
     # analyzed whole so a center on the boundary still counts
-    visible = tuple(
-        (a, b) for a, b in trunc.intervals if b > lo and a < hi
-    )
+    floor_lo, ceil_hi = math.floor(lo_s), math.ceil(hi_s)
+    visible = [(a, b) for a, b in trunc if b > floor_lo and a < ceil_hi]
 
-    bound = Fraction(h, Q)
-    centers = _base_sums(pts, h, lo - h, hi + h)
+    bound = h * denom // Q
+    centers = _base_sums(scaled, h, lo_c - h * denom, hi_f + h * denom)
 
     all_centered = bool(visible)
     all_punctured = True
@@ -440,16 +481,16 @@ def verify_open_theorem(
         if not any(s - bound <= a and b <= s + bound for s in centers):
             all_within = False
 
-    primed_ok = all(
-        primed.contains(s) for s in centers if lo <= s <= hi
-    )
+    primed_ok = all(_contains(primed, s) for s in centers if lo_c <= s <= hi_f)
 
     return OpenTheoremReport(
         h=h,
         Q=Q,
         window=(lo, hi),
-        components=visible,
-        radius_bound=bound,
+        components=tuple(
+            (Fraction(a, denom), Fraction(b, denom)) for a, b in visible
+        ),
+        radius_bound=Fraction(h, Q),
         empty=not visible,
         all_centered=all_centered,
         all_punctured=all_punctured,

@@ -100,6 +100,12 @@ class ScenarioOptions:
     seed: int = 0
     samples: int | None = None
 
+    def __post_init__(self):
+        for name in ("hmax", "Q", "gen_radius", "samples"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
+
 
 class _Run:
     def __init__(self, scenario: str, title: str):

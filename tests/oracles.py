@@ -5,9 +5,18 @@ elements listed one `contains` call at a time, no bitsets, no closed forms.
 """
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
-from intersets import ALL, EMPTY, Window, contains
+from intersets import (
+    ALL,
+    EMPTY,
+    IntervalUnion,
+    OpenTheoremReport,
+    Window,
+    contains,
+)
 from intersets.symbolic import Congruence
 
 
@@ -111,3 +120,61 @@ def vector_min_samples(seed: int, count: int) -> list[list[tuple[int, ...]]]:
             vs.append(tuple(v))
         out.append(vs)
     return out
+
+
+def _interval_fold(pairs, h: int) -> IntervalUnion:
+    layer = IntervalUnion.build(pairs)
+    fold = layer
+    for _ in range(h - 1):
+        fold = fold.minkowski(layer)
+    return fold
+
+
+@lru_cache(maxsize=None)
+def _open_intersections(points: tuple, h: int, Q: int):
+    """The depth-Q intersections of the punctured and the full layer folds,
+    kept per (points, h, Q) so a grid of windows folds each run once."""
+    trunc = primed = None
+    for q in range(1, Q + 1):
+        r = Fraction(1, q)
+        fold = _interval_fold([p for b in points for p in ((b - r, b), (b, b + r))], h)
+        pfold = _interval_fold([(b - r, b + r) for b in points], h)
+        trunc = fold if trunc is None else trunc.intersect(fold)
+        primed = pfold if primed is None else primed.intersect(pfold)
+    return trunc, primed
+
+
+def open_theorem_reference(points, h: int, Q: int, value_window) -> OpenTheoremReport:
+    """verify_open_theorem's report by the IntervalUnion API in Fractions:
+    layers built from their pairs, h-folds by repeated Minkowski sums, base
+    sums from fold_values, and every comparison made on Fractions."""
+    lo, hi = Fraction(value_window[0]), Fraction(value_window[1])
+    trunc, primed = _open_intersections(tuple(points), h, Q)
+
+    visible = tuple((a, b) for a, b in trunc.intervals if b > lo and a < hi)
+    bound = Fraction(h, Q)
+    centers = sorted(s for s in fold_values(points, h) if lo - h <= s <= hi + h)
+
+    all_centered = bool(visible)
+    all_punctured = all_within = True
+    for a, b in visible:
+        inside = [s for s in centers if a < s < b]
+        if len(inside) != 1:
+            all_centered = False
+        if inside:
+            all_punctured = False
+        if not any(s - bound <= a and b <= s + bound for s in centers):
+            all_within = False
+
+    return OpenTheoremReport(
+        h=h,
+        Q=Q,
+        window=(lo, hi),
+        components=visible,
+        radius_bound=bound,
+        empty=not visible,
+        all_centered=all_centered,
+        all_punctured=all_punctured,
+        all_within_radius=all_within,
+        primed_contains_base=all(primed.contains(s) for s in centers if lo <= s <= hi),
+    )

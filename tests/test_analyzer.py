@@ -151,6 +151,14 @@ def test_hconfig_defaults():
     assert cfg.gen_radius is None
 
 
+@pytest.mark.parametrize(
+    "field", [{"Q": 0}, {"Q": -3}, {"deep_scale": 0}, {"gen_radius": 0}], ids=str
+)
+def test_hconfig_rejects_values_below_one(field):
+    with pytest.raises(InputError):
+        HConfig(**field)
+
+
 # -- witness verification ---------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Command-line entry: subcommands, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,41 @@ def test_verify_unknown_scenario():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "galaxies"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--Q", "-3"], ["--Q", "0"], ["--gen-radius", "0"]], ids=" ".join
+)
+def test_hset_out_of_range_config(family_file, flags, capsys):
+    assert main(["hset", "--family", family_file, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--Q", "0"], ["--hmax", "0"], ["--samples", "0"], ["--gen-radius", "0"],
+     ["--Q", "-1"]],
+    ids=" ".join,
+)
+def test_verify_out_of_range_options(flags, capsys):
+    # 0 is refused, not swapped for the scenario default
+    assert main(["verify", "open-intervals", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+OPEN_OPTIONS = Path(__file__).parent / "golden" / "open-intervals-options.json"
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(OPEN_OPTIONS.read_text(encoding="utf-8")),
+    ids=lambda case: " ".join(case["args"]),
+)
+def test_verify_open_intervals_options_golden(case, capsys):
+    args = ["verify", "open-intervals", "--format", "json", *case["args"]]
+    assert main(args) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_bad_window_format(family_file, capsys):

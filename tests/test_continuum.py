@@ -1,6 +1,7 @@
 """Rational perturbation layers and exact open-interval arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from intersets import (
 )
 from intersets import continuum
 
-from oracles import fold_values
+from oracles import fold_values, open_theorem_reference
 
 
 # -- family construction ----------------------------------------------------
@@ -321,3 +322,124 @@ def test_open_theorem_gates():
         verify_open_theorem((4, 8, 12), 2, 10, (18, 0))
     with pytest.raises(ConstructionError):
         verify_open_theorem((4, 6), 2, 10, (0, 18))
+
+
+def test_open_theorem_rejects_inexact_inputs():
+    # floats and bools are refused before any work; ints and Fractions run
+    for points in [(4.5, 8.25), (4, 8.0), (True, 8)]:
+        with pytest.raises(ConstructionError):
+            verify_open_theorem(points, 2, 4, (0, 20))
+    fam = RationalPerturbFamily((4, 8), r_max=12)
+    for window in [(0.1, 20), (0, 20.0), (False, 20)]:
+        with pytest.raises(InputError):
+            verify_open_theorem((4, 8), 2, 4, window)
+        with pytest.raises(InputError):
+            verify_rational_theorem(fam, 2, 6, window)
+    points, window = (Fraction(9, 2), Fraction(33, 4)), (Fraction(1, 10), 20)
+    rep = verify_open_theorem(points, 2, 4, window)
+    assert rep == open_theorem_reference(points, 2, 4, window)
+
+
+# -- the integer engine against the Fraction reference ----------------------
+
+GRID_POINTS = {
+    "int-1": (4,),
+    "int-3": (4, 8, 12),
+    "int-10": tuple(4 * n for n in range(1, 11)),
+    "fraction-1": (Fraction(13, 3),),
+    "fraction-3": (Fraction(9, 2), 8, Fraction(37, 3)),
+    "fraction-10": tuple(4 * n + Fraction(n, 7) for n in range(1, 11)),
+}
+
+
+def _grid_windows(points, h):
+    sums = sorted(fold_values(points, h))
+    first, mid = sums[0], sums[len(sums) // 2]
+    # 1009 and 1013 are primes beyond every factor of D, so these edges
+    # are off the 1/D grid; each one cuts through the component around
+    # first or mid, at every (h, Q) of the grid
+    return [
+        (0, 20),
+        (first - Fraction(1, 1009), mid + Fraction(1, 1013)),
+        (mid, mid + 3),
+    ]
+
+
+@pytest.mark.parametrize("Q", [1, 2, 7, 10, 12])
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(GRID_POINTS))
+def test_open_theorem_matches_fraction_reference(name, h, Q):
+    points = GRID_POINTS[name]
+    for window in _grid_windows(points, h):
+        rep = verify_open_theorem(points, h, Q, window)
+        assert rep == open_theorem_reference(points, h, Q, window)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(Fraction(31, 2), Fraction(33, 2)), (Fraction(23, 2), Fraction(25, 2))],
+)
+def test_open_theorem_edges_half_a_step_from_a_center(window):
+    # at Q = 1 the step 1/D is 1 and components are long enough to hold
+    # two base sums; the edges sit half a step from sums h away, so the
+    # centers counted change if lo*D or hi*D rounds the wrong way
+    assert verify_open_theorem((4, 8), 3, 1, window) == open_theorem_reference(
+        (4, 8), 3, 1, window
+    )
+
+
+def _random_pairs(rng, denom):
+    # coarse steps make touching and overlapping pairs common; some pairs
+    # are empty or reversed
+    step = denom // 12
+    return [
+        (Fraction(a * step, denom), Fraction((a + rng.randrange(-2, 9)) * step, denom))
+        for a in (rng.randrange(-40, 40) for _ in range(rng.randrange(8)))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_interval_helpers_commute_with_scaling(seed):
+    rng = random.Random(seed)
+    denom = 2520
+
+    def scaled(pairs):
+        return tuple((int(a * denom), int(b * denom)) for a, b in pairs)
+
+    raw_x, raw_y = _random_pairs(rng, denom), _random_pairs(rng, denom)
+    xs, ys = continuum._merge(raw_x), continuum._merge(raw_y)
+    xs_s, ys_s = continuum._merge(scaled(raw_x)), continuum._merge(scaled(raw_y))
+    assert xs_s == scaled(xs) and ys_s == scaled(ys)
+    assert continuum._intersect(xs_s, ys_s) == scaled(continuum._intersect(xs, ys))
+    got, got_f = continuum._minkowski(xs_s, ys_s), continuum._minkowski(xs, ys)
+    assert got == scaled(got_f)
+    # endpoints keep their type: no coercion on either side
+    assert all(type(e) is int for pair in got for e in pair)
+    assert all(type(e) is Fraction for pair in got_f for e in pair)
+
+
+def _within(pairs, x):
+    return any(a < x < b for a, b in pairs)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_interval_helpers_match_pointwise_membership(seed):
+    rng = random.Random(seed)
+    denom = 12
+    raw_x, raw_y = _random_pairs(rng, denom), _random_pairs(rng, denom)
+    xs, ys = continuum._merge(raw_x), continuum._merge(raw_y)
+    sums = continuum._minkowski(xs, ys)
+    for u in (xs, ys, continuum._intersect(xs, ys), sums):
+        # sorted, disjoint and nonempty: a touch point stays outside
+        assert all(a < b for a, b in u)
+        assert all(b <= c for (_, b), (c, _) in zip(u, u[1:]))
+    # probes on a half-step grid hit every endpoint and every gap between
+    for k in range(-200, 201):
+        x = Fraction(k, 2 * denom)
+        assert continuum._contains(xs, x) == _within(raw_x, x)
+        assert continuum._contains(continuum._intersect(xs, ys), x) == (
+            _within(raw_x, x) and _within(raw_y, x)
+        )
+        assert continuum._contains(sums, x) == any(
+            a + c < x < b + d for a, b in raw_x for c, d in raw_y if a < b and c < d
+        )

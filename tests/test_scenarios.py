@@ -45,6 +45,16 @@ def test_registry_is_complete():
         run_scenario("galaxies")
 
 
+@pytest.mark.parametrize("field", ["hmax", "Q", "gen_radius", "samples"])
+def test_options_below_one_are_refused(field):
+    # None keeps the scenario default; 0 must not quietly stand for it
+    assert getattr(ScenarioOptions(**{field: None}), field) is None
+    assert getattr(ScenarioOptions(**{field: 1}), field) == 1
+    for value in (0, -2):
+        with pytest.raises(InputError):
+            ScenarioOptions(**{field: value})
+
+
 @pytest.mark.parametrize("sid", sorted(EXPECTED_IDS))
 def test_scenario_passes_at_defaults(sid):
     res = run_scenario(sid, ScenarioOptions())
