@@ -7,7 +7,9 @@ the layer-fold intersection for free.  The open direction is whether the
 intersection has extra elements, and the decision procedure reflects that
 asymmetry: with a closed form C for the full layer-fold intersection
 (a certificate), h is in H exactly when C is contained in hA, and any
-element of C missing from hA is a one-point disproof.
+element of C missing from hA is a one-point disproof.  Of several such
+points the one reported is the first in spiral order (nearest 0, the
+negative one first on ties), read off a window mask by `spiral_first`.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from .symbolic import (
     check_cap,
     congruence,
     contains,
-    first_in_spiral,
     is_subset,
-    materialize,
     max_element,
     min_element,
     normalize,
+    spiral_first,
     spiral_key,
     window_bits,
 )
@@ -137,14 +138,9 @@ def _sample_member(s: IntSet, window: Window) -> int | None:
     r = max(window.radius, 64)
     for _ in range(4):
         check_cap(Window(-r, r))
-        bits = window_bits(s, -r, r)
-        if bits:
-            # bit r marks 0: the nearest members are the lowest set bit at
-            # or above it and the highest below it; ties go to the negative
-            above, below = bits >> r, bits & ((1 << r) - 1)
-            up = (above & -above).bit_length() - 1
-            down = r + 1 - below.bit_length()
-            return -down if below and (not above or down <= up) else up
+        x = spiral_first(window_bits(s, -r, r), -r)
+        if x is not None:
+            return x
         r *= 4
     lo = min_element(s)
     if lo is not None:
@@ -222,11 +218,10 @@ def _with_certificate(
                 f"closed {h}-fold sumset absorbs the intersection "
                 f"certificate {tag}",
             )
-        # witnesses are searched well beyond the reporting window
+        # witnesses are searched well beyond the reporting window; the
+        # window's radius passed the cap in _sample_member(cset, window)
         r = 16 * max(window.radius, 32)
-        w = first_in_spiral(
-            lambda x: contains(cset, x) and not contains(fold, x), Window(-r, r)
-        )
+        w = spiral_first(window_bits(cset, -r, r) & ~window_bits(fold, -r, r), -r)
         if w is not None:
             return (
                 CERTIFIED_OUT,
@@ -241,16 +236,17 @@ def _with_certificate(
             f"no witness was found in the search range",
         )
 
-    members = set(lhs.members)
-    cmem = set(materialize(cset, lhs.window))
-    stray = members - cmem
-    if stray:
+    win = lhs.window
+    check_cap(win)
+    got = window_mask(lhs, win)
+    cbits = window_bits(cset, win.lo, win.hi)
+    if got & ~cbits:
+        stray = [x for x in lhs.members if not cbits >> (x - win.lo) & 1]
         raise InvariantError(
             f"sumset members escape the intersection certificate {tag}: "
-            f"{sorted(stray)[:5]}"
+            f"{stray[:5]}"
         )
-    x = min(cmem - members, key=spiral_key, default=None)
-    win = lhs.window
+    x = spiral_first(cbits & ~got, win.lo)
     if x is not None:
         if lhs.complete:
             return (

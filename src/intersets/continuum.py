@@ -467,7 +467,10 @@ def verify_open_theorem(
     visible = [(a, b) for a, b in trunc if b > floor_lo and a < ceil_hi]
 
     bound = h * denom // Q
-    centers = _base_sums(scaled, h, lo_c - h * denom, hi_f + h * denom)
+    # at small Q a visible component reaches past the window by more than h,
+    # so the centers are taken over its whole span as well
+    spans = [lo_c - h * denom, hi_f + h * denom, *(x for c in visible for x in c)]
+    centers = _base_sums(scaled, h, min(spans), max(spans))
 
     all_centered = bool(visible)
     all_punctured = True

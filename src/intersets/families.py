@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import compress
 
 from .errors import CapError, ConstructionError, InputError
 from .symbolic import (
@@ -24,21 +24,22 @@ from .symbolic import (
     IntSet,
     Window,
     affine,
+    bit_flags,
     bounds,
+    check_cap,
     co_interval_bounds,
     cofinite,
     congruence,
-    contains,
     half_tail,
     intersect,
     is_subset,
-    materialize,
     normalize,
     scale_set,
-    spiral,
+    spiral_first,
     spiral_key,
     tail,
     union,
+    window_bits,
 )
 from .sumsets import Closed, symbolic_hfold_sum
 
@@ -306,14 +307,20 @@ class EnumerationFamily(Family):
             near = min(max(0, a), b)
             pool = range(max(a, near - n), min(b, near + n) + 1)
         else:
-            cap = Window(-self._SEARCH_CAP, self._SEARCH_CAP)
-            absent = (x for x in spiral(cap) if not contains(self.core, x))
-            out = list(islice(absent, n))
-            if len(out) < n:
-                raise CapError(
-                    f"complement enumeration exceeded |a| <= {self._SEARCH_CAP}"
-                )
-            return out
+            # spiral order lists all of [-r, r] before any |x| > r, so once
+            # the window holds n complement points they are the first n
+            r = 64
+            while True:
+                r = min(r, self._SEARCH_CAP)
+                gaps = ((1 << (2 * r + 1)) - 1) & ~window_bits(self.core, -r, r)
+                if gaps.bit_count() >= n:
+                    break
+                if r == self._SEARCH_CAP:
+                    raise CapError(
+                        f"complement enumeration exceeded |a| <= {self._SEARCH_CAP}"
+                    )
+                r *= 4
+            pool = compress(range(-r, r + 1), bit_flags(gaps))
         return sorted(pool, key=spiral_key)[:n]
 
     def set_at(self, q: int) -> IntSet:
@@ -502,14 +509,13 @@ def classify_monotonicity(
         checked = True
         witness = None
         for w in windows:
-            cur_m = set(materialize(cur, w))
-            nxt_m = set(materialize(nxt, w))
-            if not nxt_m <= cur_m:
+            check_cap(w)
+            cur_b, nxt_b = window_bits(cur, w.lo, w.hi), window_bits(nxt, w.lo, w.hi)
+            if nxt_b & ~cur_b:
                 checked = False
                 break
-            gone = cur_m - nxt_m
-            if gone:
-                witness = min(gone, key=spiral_key)
+            if gone := cur_b & ~nxt_b:
+                witness = spiral_first(gone, w.lo)
                 break
         checks.append(ChainCheck(q, certified or checked, certified, witness))
     decreasing = all(c.contained for c in checks)

@@ -80,7 +80,6 @@ from .symbolic import (
     congruence,
     contains,
     down_tail,
-    first_in_spiral,
     half_tail,
     is_infinite,
     materialize,
@@ -89,8 +88,10 @@ from .symbolic import (
     normalize,
     out_up_to,
     shift,
+    spiral_first,
     union,
     window_bits,
+    _divisors,
 )
 
 _FINITE_FOLD_CAP = 24
@@ -472,16 +473,7 @@ def _check_mult_target(v: int) -> None:
 
 
 def _signed_divisors(v: int) -> tuple[int, ...]:
-    n = abs(v)
-    ds = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            ds.extend((i, -i))
-            if i != n // i:
-                ds.extend((n // i, -(n // i)))
-        i += 1
-    return tuple(ds)
+    return tuple(sign * d for d in _divisors(abs(v)) for sign in (1, -1))
 
 
 def _divisors_in(s: IntSet) -> Callable[[int], tuple[int, ...]]:
@@ -636,7 +628,12 @@ def basis_order(
     for h in range(1, h_max + 1):
         r = gen_radius or default_radius(window, h)
         res = symbolic_hfold_sum(s, h, window, r)
-        missing = first_in_spiral(lambda x: query(res, x) != IN, window)
+        if isinstance(res, Closed):
+            # read without window_mask's cap: a closed form is never enumerated
+            got = window_bits(res.set, window.lo, window.hi)
+        else:
+            got = window_mask(res, window)
+        missing = spiral_first(((1 << window.size) - 1) & ~got, window.lo)
         if isinstance(res, Closed):
             verdicts.append(
                 BasisVerdict(h, missing is None, True, missing, "closed form")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -138,26 +137,6 @@ class Window:
 def spiral_key(x: int) -> tuple[int, bool]:
     """Spiral order: by |x|, negatives first on ties."""
     return (abs(x), x >= 0)
-
-
-def spiral(window: Window) -> Iterator[int]:
-    """The window's points in spiral order, lazily."""
-    lo, hi = window.lo, window.hi
-    if lo >= 0:
-        return iter(range(lo, hi + 1))
-    if hi <= 0:
-        return iter(range(hi, lo - 1, -1))
-    return (
-        x
-        for a in range(max(-lo, hi) + 1)
-        for x in ((0,) if a == 0 else (-a, a))
-        if lo <= x <= hi
-    )
-
-
-def first_in_spiral(pred: Callable[[int], bool], window: Window) -> int | None:
-    """The first window point in spiral order that satisfies pred."""
-    return next(filter(pred, spiral(window)), None)
 
 
 @dataclass(frozen=True)
@@ -1138,6 +1117,20 @@ _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 def bit_flags(bits: int) -> bytes:
     """Byte i is 1 when bit i of bits is set, else 0, from one bin() pass."""
     return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
+
+
+def spiral_first(bits: int, lo: int) -> int | None:
+    """The member of a window mask (bit i marks lo + i) that comes first in
+    spiral order, or None when the mask is empty."""
+    if not bits:
+        return None
+    # bits from z on mark x >= 0: the nearest members are the lowest set
+    # bit at or above z and the highest below it; ties go to the negative
+    z = max(-lo, 0)
+    above, below = bits >> z, bits & ((1 << z) - 1)
+    up = lo + z + (above & -above).bit_length() - 1
+    down = lo + below.bit_length() - 1
+    return down if below and (not above or -down <= up) else up
 
 
 def _run(a: int, b: int, n: int) -> int:

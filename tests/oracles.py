@@ -153,7 +153,7 @@ def open_theorem_reference(points, h: int, Q: int, value_window) -> OpenTheoremR
 
     visible = tuple((a, b) for a, b in trunc.intervals if b > lo and a < hi)
     bound = Fraction(h, Q)
-    centers = sorted(s for s in fold_values(points, h) if lo - h <= s <= hi + h)
+    centers = sorted(fold_values(points, h))
 
     all_centered = bool(visible)
     all_punctured = all_within = True

@@ -15,6 +15,7 @@ from intersets import (
     EnumerationFamily,
     HConfig,
     InputError,
+    InvariantError,
     ProductFamily,
     TailFamily,
     HalfTailFamily,
@@ -38,9 +39,10 @@ from intersets import (
     verify_out_witness,
 )
 from intersets import analyzer, families, sumsets, symbolic
-from intersets.analyzer import _sample_member
+from intersets.analyzer import _sample_member, _with_certificate
+from intersets.sumsets import Windowed
 from intersets.symbolic import max_element, min_element
-from oracles import fold_values, lattice_fold, spiral, windowed_fold
+from oracles import fold_values, lattice_fold, members, spiral, windowed_fold
 
 FOURZ1 = union(congruence(4, (0,)), finite([1]))
 THREEZ1 = union(congruence(3, (0,)), finite([1]))
@@ -171,6 +173,78 @@ def test_verify_out_witness():
     assert not verify_out_witness(TailFamily(THREEZ1), 3, -1)
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [
+        TailFamily(FOURZ1),
+        TailFamily(union(congruence(5, (1,)), finite([0, 2]))),
+        TailFamily(finite([-2, 0, 3])),
+        CosetTailFamily(4, 1),
+        CosetTailFamily(6, 1),
+        CosetTailFamily(5, 2),
+        EnumerationFamily(finite([0, 2, -3])),
+        EnumerationFamily(union(congruence(5, (0,)), finite([1]))),
+    ],
+    ids=lambda fam: fam.kind,
+)
+def test_closed_certificate_witnesses_match_oracle(fam):
+    # each core is a finite set or one residue class with a few points of
+    # absolute value at most 5, so a sum x of h <= 4 members has summands
+    # within |x| + 20: all but one class summand can be the class's member
+    # nearest 0
+    core = fam.intersection()
+    closed = 0
+    for v in compute_H(fam, 4).verdicts:
+        if v.status != CERTIFIED_OUT or "closed" not in v.evidence:
+            continue
+        closed += 1
+        win = Window(-abs(v.witness), abs(v.witness))
+        fold = windowed_fold(core, v.h, win, abs(v.witness) + 20)
+        cert = set(members(fam.certificate(v.h).closed_form, win))
+        expected = next(x for x in spiral(win) if x in cert and x not in fold)
+        assert v.witness == expected
+    assert closed
+
+
+@given(
+    st.integers(-30, 0),
+    st.integers(0, 30),
+    st.tuples(st.integers(1, 6), st.integers(0, 5)).map(
+        lambda t: congruence(t[0], (t[1] % t[0],))
+    ),
+    st.lists(st.integers(-40, 40), max_size=3).map(finite),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=100)
+def test_windowed_certificate_witness_matches_oracle(
+    lo, hi, cls, extra, complete, data
+):
+    cset = union(cls, extra)
+    win = Window(lo, hi)
+    cmem = members(cset, win)
+    gone = data.draw(st.sets(st.sampled_from(cmem))) if cmem else set()
+    lhs = Windowed(win, tuple(x for x in cmem if x not in gone), 9, complete)
+    status, witness, _ = _with_certificate(lhs, cset, "p", 2, win)
+    expected = next((x for x in spiral(win) if x in gone), None)
+    assert witness == expected
+    if expected is None:
+        assert status == EMPIRICAL_EQUAL
+    else:
+        assert status == (CERTIFIED_OUT if complete else UNDETERMINED)
+
+
+def test_windowed_certificate_lists_the_first_five_strays():
+    win = Window(-10, 10)
+    lhs = Windowed(win, tuple(range(-10, 11)), 0, False)
+    with pytest.raises(InvariantError) as err:
+        _with_certificate(lhs, congruence(3, (1,)), "p", 2, win)
+    assert str(err.value) == (
+        "sumset members escape the intersection certificate [p]: "
+        "[-10, -9, -7, -6, -4]"
+    )
+
+
 # -- affine transport -------------------------------------------------------
 
 
@@ -280,8 +354,9 @@ def _no_materialize(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("materialize was called")
 
+    # analyzer and families no longer import materialize
     for mod in (analyzer, families, sumsets, symbolic):
-        monkeypatch.setattr(mod, "materialize", refuse)
+        monkeypatch.setattr(mod, "materialize", refuse, raising=False)
 
 
 def test_closed_layer_folds_materialize_nothing(monkeypatch):

@@ -269,6 +269,32 @@ def test_interval_union_operations():
     assert m.intervals == ((Fraction(0), Fraction(2)),)
 
 
+@pytest.mark.parametrize(
+    "points", [(4,), (4, 8, 12), (Fraction(1, 2), 3, Fraction(-7, 3))]
+)
+@pytest.mark.parametrize("q", [1, 2, 3, 7])
+def test_interval_layer_pairs(points, q):
+    # the points lie more than 2/q apart, so no pairs merge
+    r = Fraction(1, q)
+    bs = sorted(map(Fraction, points))
+    assert interval_layer(points, q).intervals == tuple(
+        p for b in bs for p in ((b - r, b), (b, b + r))
+    )
+    assert interval_layer(points, q, punctured=False).intervals == tuple(
+        (b - r, b + r) for b in bs
+    )
+
+
+def test_interval_layer_merges_close_points():
+    # at q = 1 the points 0 and 1 share the pair (0, 1)
+    assert interval_layer([0, 1], 1).intervals == ((-1, 0), (0, 1), (1, 2))
+    assert interval_layer([0, 1], 1, punctured=False).intervals == ((-1, 2),)
+    assert interval_layer([0, 1], 3, punctured=False).intervals == (
+        (Fraction(-1, 3), Fraction(1, 3)),
+        (Fraction(2, 3), Fraction(4, 3)),
+    )
+
+
 def test_minkowski_hfold_merges_punctures():
     layer = interval_layer([4], 2)
     assert layer.intervals == (
@@ -298,6 +324,16 @@ def test_open_theorem_frozen():
         (Fraction(59, 5), Fraction(61, 5)),
         (Fraction(79, 5), Fraction(81, 5)),
     )
+
+
+def test_open_theorem_counts_centers_across_each_component():
+    # at Q = 1 the one visible component (9, 27) reaches 11 past the window,
+    # farther than h = 3, and holds the base sums 12, 16, 20 and 24
+    window = (Fraction(31, 2), Fraction(33, 2))
+    rep = verify_open_theorem((4, 8), 3, 1, window)
+    assert rep.components == ((Fraction(9), Fraction(27)),)
+    assert not rep.all_centered and not rep.ok
+    assert rep == open_theorem_reference((4, 8), 3, 1, window)
 
 
 def test_open_theorem_h1_punctured():

@@ -1,10 +1,13 @@
 """Layer family constructions, gates, chain diagnostics, builder round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersets import (
     ALL,
     AffineFamily,
+    CapError,
     CongruenceChainFamily,
     ConstructionError,
     CosetTailFamily,
@@ -26,6 +29,7 @@ from intersets import (
     union,
 )
 from intersets.families import build
+from oracles import members, spiral
 
 
 # -- construction gates -----------------------------------------------------
@@ -163,6 +167,35 @@ def test_enumeration_wide_tail_core():
     assert fam.set_at(5) == cofinite([0, -1, 1, -2])
 
 
+# finite cores leave an infinite complement that is not one interval, so
+# the complement is searched in growing windows; cores dense near 0 push
+# the first q - 1 complement points past the first window of radius 64
+_enumeration_cores = st.one_of(
+    st.sets(st.integers(-300, 300), max_size=12),
+    st.tuples(st.integers(0, 200), st.sets(st.integers(-200, 200), max_size=6)).map(
+        lambda t: set(range(-t[0], t[0] + 1)) - t[1]
+    ),
+).filter(bool)
+
+
+@given(_enumeration_cores, st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_set_at_matches_oracle_spiral(core, q):
+    fam = EnumerationFamily(finite(sorted(core)))
+    expected = [x for x in spiral(Window(-700, 700)) if x not in core][: q - 1]
+    assert fam.set_at(q) == cofinite(expected)
+
+
+def test_enumeration_search_windows_and_cap():
+    # the complement is the odd numbers of absolute value below 2**21
+    fam = EnumerationFamily(union(congruence(2, (0,)), tail(0, 2**21)))
+    odd = [x for x in spiral(Window(-700, 700)) if x % 2]
+    assert fam.set_at(301) == cofinite(odd[:300])
+    # [-2**20, 2**20] holds 2**20 odd numbers, one fewer than asked for
+    with pytest.raises(CapError, match=r"exceeded \|a\| <= 1048576"):
+        fam.set_at(2**20 + 2)
+
+
 def test_coset_layers():
     fam = CosetTailFamily(2, 1)
     got = materialize(fam.set_at(3), Window(-10, 12))
@@ -215,6 +248,45 @@ def test_classify_monotonicity_not_decreasing():
     fam = ExplicitFamily([half_tail(2), half_tail(0)])
     rep = classify_monotonicity(fam, depth=3)
     assert not rep.decreasing
+
+
+def _chain_oracle(fam, q, windows):
+    """(contained, witness) for layers q and q + 1 as classify_monotonicity
+    defines them, from `contains` scans in oracle spiral order."""
+    outer = Window(-windows[-1], windows[-1])
+    cur = set(members(fam.layer(q), outer))
+    nxt = set(members(fam.layer(q + 1), outer))
+    for r in windows:
+        if any(x in nxt and x not in cur for x in range(-r, r + 1)):
+            return False, None
+        gone = [x for x in spiral(Window(-r, r)) if x in cur and x not in nxt]
+        if gone:
+            return True, gone[0]
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        TailFamily(union(congruence(4, (0,)), finite([1]))),
+        HalfTailFamily(finite([-2, 5])),
+        CongruenceChainFamily((0, 1, 3), m1=7),
+        CosetTailFamily(3, 2),
+        EnumerationFamily(finite([0, 1, -4])),
+        AffineFamily(-1, 3, TailFamily(finite([0, 2]))),
+        ScaledFamily(TailFamily(finite([0, 1])), 40),
+        ExplicitFamily([half_tail(0), half_tail(2), half_tail(0)]),
+    ],
+    ids=lambda fam: fam.kind,
+)
+def test_classify_monotonicity_matches_oracle(fam):
+    windows = (16, 64, 256, 1024)
+    rep = classify_monotonicity(fam, depth=4)
+    assert rep.checks
+    for c in rep.checks:
+        contained, witness = _chain_oracle(fam, c.q, windows)
+        assert c.strict_witness == witness
+        assert c.contained == (c.certified or contained)
 
 
 # -- params round trips -----------------------------------------------------

@@ -45,7 +45,7 @@ from intersets.sumsets import (
 )
 from intersets.symbolic import Congruence, Finite, HalfTail, Union
 
-from oracles import fold_values, members, rep_count, windowed_fold
+from oracles import fold_values, members, rep_count, spiral, windowed_fold
 
 
 # -- closed forms -----------------------------------------------------------
@@ -495,6 +495,12 @@ def test_mult_target_cap_precedes_trial_division(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("v", [0, 1, -1, 2, 12, -36, 97, 360, -1001])
+def test_signed_divisors_by_exhaustion(v):
+    expected = [d for d in range(-abs(v), abs(v) + 1) if d and v % d == 0]
+    assert sorted(sumsets._signed_divisors(v)) == expected
+
+
 def _count_divisor_calls(monkeypatch) -> Counter:
     seen: Counter = Counter()
     divisors = sumsets._signed_divisors
@@ -563,6 +569,32 @@ def test_basis_order_frozen():
         (4, True, None),
         (5, True, None),
     ]
+
+
+_basis_sets = [
+    union(congruence(3, (0,)), finite([1])),
+    union(finite(range(-3, 4)), congruence(11, (0,))),
+    union(finite([0, 2, 3, -5]), congruence(13, (1, 6))),
+    union(half_tail(6), finite([0, -3])),
+    finite([0, 1, 5]),
+    # no rule closes folds of large finite sets: these come back windowed
+    finite(random.Random(1).sample(range(-40, 40), 30)),
+    finite(random.Random(2).sample(range(-90, 90), 26)),
+]
+
+
+@pytest.mark.parametrize("s", _basis_sets)
+def test_basis_order_witnesses_match_oracle(s):
+    # windowed folds hold by definition the sums of members within
+    # default_radius; the sets whose folds close have their finite part and
+    # period within the window radius, so that radius reaches a
+    # representation of every window sum
+    win = Window(-20, 20)
+    rep = basis_order(s, 4, win)
+    for v in rep.verdicts:
+        fold = windowed_fold(s, v.h, win, default_radius(win, v.h))
+        expected = next((x for x in spiral(win) if x not in fold), None)
+        assert (v.witness, v.covers) == (expected, expected is None)
 
 
 def test_basis_order_no_cover():

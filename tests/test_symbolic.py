@@ -47,8 +47,7 @@ from intersets.symbolic import (
     _primitive_congruence,
     co_interval_bounds,
     count_in_interval,
-    first_in_spiral,
-    spiral,
+    spiral_first,
     spiral_key,
     window_bits,
 )
@@ -421,25 +420,41 @@ def test_primitive_congruence_never_factors_the_modulus(monkeypatch):
 # -- spiral order -----------------------------------------------------------
 
 
-@given(st.integers(-40, 40), st.integers(0, 40))
-@settings(max_examples=150)
-def test_spiral_matches_oracle(lo, width):
+# (lo, width) of windows left of 0, right of 0, across 0 and one point wide
+_spiral_windows = st.one_of(
+    st.tuples(st.integers(-80, -41), st.integers(0, 40)),
+    st.tuples(st.integers(1, 40), st.integers(0, 40)),
+    st.tuples(st.integers(-40, 0), st.integers(40, 80)),
+    st.tuples(st.integers(-40, 40), st.just(0)),
+)
+
+
+@given(_spiral_windows, st.data())
+@settings(max_examples=300)
+def test_spiral_first_matches_oracle(window, data):
+    lo, width = window
     win = Window(lo, lo + width)
-    expected = oracle_spiral(win)
-    assert list(spiral(win)) == expected
-    assert sorted(expected, key=spiral_key) == expected
+    order = oracle_spiral(win)
+    assert sorted(order, key=spiral_key) == order
+    bits = data.draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, (1 << (width + 1)) - 1),
+            st.sets(st.integers(0, width), max_size=3).map(
+                lambda ix: sum(1 << i for i in ix)
+            ),
+        )
+    )
+    expected = next((x for x in order if bits >> (x - lo) & 1), None)
+    assert spiral_first(bits, lo) == expected
 
 
-@given(st.integers(-40, 40), st.integers(0, 40), st.integers(1, 7), st.integers(0, 6))
-@settings(max_examples=100)
-def test_first_in_spiral_matches_oracle(lo, width, m, r):
-    win = Window(lo, lo + width)
-
-    def pred(x):
-        return x % m == r
-
-    expected = next((x for x in oracle_spiral(win) if pred(x)), None)
-    assert first_in_spiral(pred, win) == expected
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (-5, 30), (-30, 5)])
+@pytest.mark.parametrize("a", [1, 3, 5])
+def test_spiral_first_breaks_ties_to_the_negative(lo, hi, a):
+    bits = (1 << (-a - lo)) | (1 << (a - lo))
+    assert spiral_first(bits, lo) == -a
+    assert spiral_first(bits | 1 << -lo, lo) == 0
 
 
 # -- excluded intervals -----------------------------------------------------
