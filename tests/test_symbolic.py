@@ -429,6 +429,29 @@ _spiral_windows = st.one_of(
 )
 
 
+@given(st.integers(-40, 40), st.integers(0, 40))
+@settings(max_examples=150)
+def test_spiral_matches_oracle(lo, width):
+    # draining a full window mask with spiral_first walks the whole spiral
+    win = Window(lo, lo + width)
+    expected = oracle_spiral(win)
+    bits, order = (1 << (width + 1)) - 1, []
+    while (x := spiral_first(bits, lo)) is not None:
+        order.append(x)
+        bits &= ~(1 << (x - lo))
+    assert order == expected
+    assert sorted(expected, key=spiral_key) == expected
+
+
+@given(st.integers(-40, 40), st.integers(0, 40), st.integers(1, 7), st.integers(0, 6))
+@settings(max_examples=100)
+def test_first_in_spiral_matches_oracle(lo, width, m, r):
+    win = Window(lo, lo + width)
+    bits = sum(1 << (x - lo) for x in range(lo, lo + width + 1) if x % m == r)
+    expected = next((x for x in oracle_spiral(win) if x % m == r), None)
+    assert spiral_first(bits, lo) == expected
+
+
 @given(_spiral_windows, st.data())
 @settings(max_examples=300)
 def test_spiral_first_matches_oracle(window, data):
