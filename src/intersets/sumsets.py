@@ -6,8 +6,8 @@ enumeration over offset bit arrays, which is exact within the window and
 carries an explicit completeness flag.
 
 The windowed engine holds a set as one Python int whose bit k marks the
-point k - offset, and folds it by repeated squaring.  Each fold is a
-boolean convolution with one of two exact kernels, chosen by the sparser
+point k - offset, and folds it h times.  Each fold is a boolean
+convolution with one of two exact kernels, chosen by the sparser
 operand's popcount p:
 
 - below the crossover, a shift-or loop: one shifted copy of the denser
@@ -23,15 +23,25 @@ operand's popcount p:
   context whose precision covers every product and which traps Inexact
   and Rounded, so a rounding could only raise, never pass silently.
 
+With base popcount p, the fold adds one summand at a time against the
+base while (h - 1) * p is below the crossover, so every product runs the
+shift-or loop over the base's p bits; otherwise it squares repeatedly.
+No fold computes a sum that cannot land in the window: with the base
+spanning offsets 0..w and the window at offsets lo..hi from h times the
+smallest member, a partial sum of k summands is kept only on offsets
+lo - (h - k) * w .. hi, since the h - k summands still to come add 0 to
+(h - k) * w.  Operand bits above hi are dropped before a product, and
+the Kronecker kernel decodes only the kept fields of its product string.
+
 The operand bitset comes straight from the set's term
 (`symbolic.window_bits`: masks for tails and rays, a doubled period for a
 congruence, OR and AND for unions and intersections), never from a list
 of members; `symbolic.materialize` decodes the same int, so both read one
 membership implementation.  Its empty span below the smallest member is
 shifted off before folding, so every fold covers only the span the set
-occupies, and the window is read back against h times that smallest
-member with `symbolic.bit_flags`, from one binary string in a single
-pass.  This path needs only the standard library.
+occupies, and the window is read back from the last cut fold with
+`symbolic.bit_flags`, from one binary string in a single pass.  This
+path needs only the standard library.
 """
 
 from __future__ import annotations
@@ -346,28 +356,49 @@ _EXACT = Context(
 _NONZERO_DIGIT = str.maketrans("23456789", "11111111")
 
 
-def _conv(bits_a: int, bits_b: int) -> int:
+def _conv(bits_a: int, bits_b: int, lo: int = 0, hi: int | None = None) -> int:
     """Sumset of two offset bitsets: bit i + j set iff bit i of one and
-    bit j of the other are set."""
+    bit j of the other are set.  Given hi, only its bits lo..hi, shifted
+    down to start at bit 0."""
+    if hi is not None:
+        # no operand bit above hi reaches a kept sum
+        keep = (1 << hi + 1) - 1
+        square = bits_a is bits_b
+        bits_a &= keep
+        bits_b = bits_a if square else bits_b & keep
     if bits_a.bit_count() > bits_b.bit_count():
         bits_a, bits_b = bits_b, bits_a
     popcount = bits_a.bit_count()
     if popcount >= _KRONECKER_MIN_POPCOUNT:
-        return _conv_kronecker(bits_a, bits_b, popcount)
+        return _conv_kronecker(bits_a, bits_b, popcount, lo, hi)
     out = 0
     flags = bit_flags(bits_a)
     for i in compress(range(len(flags)), flags):
         out |= bits_b << i
-    return out
+    return _slice(out, lo, hi)
 
 
-def _conv_kronecker(bits_a: int, bits_b: int, popcount: int) -> int:
+def _slice(bits: int, lo: int, hi: int | None) -> int:
+    """Bits lo..hi of bits (all from lo when hi is None), shifted down."""
+    bits >>= lo
+    return bits if hi is None else bits & (1 << hi - lo + 1) - 1
+
+
+def _conv_kronecker(
+    bits_a: int, bits_b: int, popcount: int, lo: int = 0, hi: int | None = None
+) -> int:
     # a field counts representations, at most popcount < 10**d: no carries
     d = len(str(popcount))
     pad = "0" * (d - 1)
     x = Decimal(pad + pad.join(bin(bits_a)[2:]))
     y = x if bits_a is bits_b else Decimal(pad + pad.join(bin(bits_b)[2:]))
     digits = str(_EXACT.multiply(x, y))
+    # field k is digits[n - (k + 1) * d : n - k * d]; decode fields lo..hi
+    n = len(digits)
+    first = 0 if hi is None else max(n - (hi + 1) * d, 0)
+    digits = digits[first : max(n - lo * d, 0)]
+    if not digits:
+        return 0
     digits = digits.zfill(-(-len(digits) // d) * d).translate(_NONZERO_DIGIT)
     out = 0
     for column in range(d):
@@ -396,21 +427,45 @@ def windowed_hfold_sum(
     zeros = (bits & -bits).bit_length() - 1
     bits >>= zeros
     v0 = zeros - r
-    acc = None
-    e = h
-    while True:
-        if e & 1:
-            acc = bits if acc is None else _conv(acc, bits)
-        e >>= 1
-        if not e:
-            break
-        bits = _conv(bits, bits)
-    # bit k of acc marks h * v0 + k; the window may begin left of that
-    start = max(window.lo, h * v0)
+    w = bits.bit_length() - 1
+    # the window lies at offsets lo..hi from h * v0, and a sum of k
+    # summands reaches it only from offsets lo - (h - k) * w .. hi
+    lo, hi = window.lo - h * v0, window.hi - h * v0
     members = ()
-    if start <= window.hi:
-        seg = (acc >> (start - h * v0)) & ((1 << (window.hi - start + 1)) - 1)
-        members = tuple(compress(range(start, window.hi + 1), bit_flags(seg)))
+    if hi >= 0 and lo <= h * w:
+
+        def fold(x: tuple[int, int], y: tuple[int, int], k: int) -> tuple[int, int]:
+            """x + y, partial sums of k summands as (bits, offset of bit 0),
+            cut to the offsets that can still reach the window."""
+            off = x[1] + y[1]
+            keep_lo = max(lo - (h - k) * w - off, 0)
+            keep_hi = min(hi, k * w) - off
+            if keep_hi < keep_lo:
+                return 0, 0  # every sum lies past the window
+            return _conv(x[0], y[0], keep_lo, keep_hi), off + keep_lo
+
+        keep_lo = max(lo - (h - 1) * w, 0)
+        base = _slice(bits, keep_lo, min(hi, w)), keep_lo
+        if (h - 1) * base[0].bit_count() < _KRONECKER_MIN_POPCOUNT:
+            # h - 1 shift-or products against the base
+            acc = base
+            for k in range(2, h + 1):
+                acc = fold(acc, base, k)
+        else:
+            # repeated squaring: part holds k summands, acc the n taken
+            acc, n, part, k, e = None, 0, base, 1, h
+            while True:
+                if e & 1:
+                    n += k
+                    acc = part if acc is None else fold(acc, part, n)
+                e >>= 1
+                if not e:
+                    break
+                k *= 2
+                part = fold(part, part, k)
+        flags = bit_flags(acc[0])
+        start = h * v0 + acc[1]
+        members = tuple(compress(range(start, start + len(flags)), flags))
     return Windowed(window, members, r, _complete(s, h, window, r))
 
 
@@ -571,6 +626,7 @@ def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
     if contains(s, 0):
         raise DomainError("product sets require a set avoiding 0")
     _check_mult_target(window.radius)
+    check_cap(window)
 
     divisors_in = _divisors_in(s)
     memo: dict[tuple[int, int], bool] = {}

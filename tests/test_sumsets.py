@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -43,7 +43,7 @@ from intersets.sumsets import (
     window_mask,
     windowed_hfold_sum,
 )
-from intersets.symbolic import Congruence, Finite, HalfTail, Union
+from intersets.symbolic import Congruence, Finite, HalfTail, Union, bounds
 
 from oracles import fold_values, members, rep_count, spiral, windowed_fold
 
@@ -373,6 +373,44 @@ def test_conv_at_the_crossover(square, delta):
 
 
 @given(
+    st.booleans(),
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.sampled_from(["zero", "inside", "above"]),
+    st.integers(0, 150),
+)
+# pinned for both kernels: hi past the top bit (which is below 50 here),
+# and lo above it
+@example(True, 8, 8, 1, False, "zero", 150)
+@example(False, 8, 8, 1, False, "zero", 150)
+@example(True, 8, 8, 1, True, "above", 3)
+@example(False, 8, 8, 1, True, "above", 3)
+@settings(max_examples=200, deadline=None)
+def test_conv_keeps_bits_lo_to_hi(kronecker, na, nb, seed, square, where, width):
+    rng = random.Random(seed)
+    a = _bits(rng.sample(range(2 * na + 5), na))
+    b = a if square else _bits(rng.sample(range(3 * nb + 5), nb))
+    full = sumsets._conv(a, b)
+    top = full.bit_length() - 1
+    # lo at bit 0, inside the product, or above its top bit; a wide width
+    # puts hi past the top bit
+    lo = {"zero": 0, "inside": rng.randint(0, top), "above": top + 1 + width}[where]
+    hi = lo + width
+    spy = mock.patch.object(
+        sumsets, "_conv_kronecker", wraps=sumsets._conv_kronecker
+    )
+    crossover = 1 if kronecker else 10**9
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_POPCOUNT", crossover):
+        with spy as kron:
+            got = sumsets._conv(a, b, lo, hi)
+    keep = (1 << hi + 1) - 1
+    assert kron.called == (kronecker and bool(a & keep) and bool(b & keep))
+    assert got == (full >> lo) & ((1 << hi - lo + 1) - 1)
+
+
+@given(
     st.lists(st.integers(-30, 30), min_size=1, max_size=8),
     st.integers(1, 3),
     st.integers(-40, 40),
@@ -403,6 +441,73 @@ def test_windowed_edge_cases():
     # one-point windows, in and out
     assert windowed_hfold_sum(finite([1, 4]), 2, Window(5, 5), 8).members == (5,)
     assert windowed_hfold_sum(finite([1, 4]), 2, Window(6, 6), 8).members == ()
+
+
+# -- window-cut folds ---------------------------------------------------------
+
+# a finite set, and one with a bound below, reach windows left of h times
+# their least member and past their reach; the two-sided sets are read at
+# the edge of the generation radius
+_FOLD_SETS = [
+    finite([-7, -3, 0, 4, 9, 13, 20]),
+    union(congruence(7, (2, 5)), finite([-6, 1, 3, 10])),
+    union(half_tail(12), finite([-9, -2, 4, 7])),
+    intersect(cofinite([-12, 0, 3, 9]), congruence(3, (0,))),
+]
+_FOLD_R = 40
+
+
+def _fold_windows(s, h):
+    least, most = bounds(s)
+    wins = [Window(-9, 23), Window(_FOLD_R - 12, _FOLD_R)]
+    if least is not None:
+        wins += [Window(h * least - 12, h * least + 9)]
+        wins += [Window(h * least - 30, h * least - 1)]
+    if most is not None:
+        wins += [Window(h * most - 5, h * most + 20)]
+        wins += [Window(h * most + 1, h * most + 30)]
+    return wins
+
+
+@pytest.mark.parametrize("crossover", [1, 3, 4096])
+@pytest.mark.parametrize("h", range(1, 7))
+@pytest.mark.parametrize("s", _FOLD_SETS, ids=lambda s: type(s).__name__)
+def test_windowed_cut_folds_match_oracle(s, h, crossover):
+    # crossover 1 and 3 square with Kronecker products; 4096 adds one
+    # summand at a time with the shift-or loop
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_POPCOUNT", crossover):
+        for win in _fold_windows(s, h):
+            r = max(win.radius, _FOLD_R)
+            got = windowed_hfold_sum(s, h, win, r)
+            assert list(got.members) == sorted(windowed_fold(s, h, win, r)), win
+
+
+@pytest.mark.parametrize("h", range(2, 9))
+@pytest.mark.parametrize("squaring", [False, True])
+def test_fold_order_follows_the_crossover(h, squaring):
+    xs = [0, 3, 7, 12, 13]
+    base = _bits(xs)
+    # (h - 1) * popcount is at most 35: a crossover of 1 squares, 4096 not
+    crossover = 1 if squaring else 4096
+    calls = []
+    conv = sumsets._conv
+
+    def spy(a, b, lo=0, hi=None):
+        calls.append((a, b))
+        return conv(a, b, lo, hi)
+
+    win = Window(0, 13 * h)
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_POPCOUNT", crossover):
+        with mock.patch.object(sumsets, "_conv", spy):
+            got = windowed_hfold_sum(finite(xs), h, win, win.radius)
+    assert set(got.members) == fold_values(xs, h)
+    if squaring:
+        squares = sum(a is b for a, b in calls)
+        assert squares == h.bit_length() - 1
+        assert len(calls) - squares == h.bit_count() - 1
+    else:
+        assert len(calls) == h - 1
+        assert all(base in (a, b) for a, b in calls)
 
 
 def test_query_bisects_members():
@@ -492,6 +597,19 @@ def test_mult_target_cap_precedes_trial_division(monkeypatch):
         hfold_product(finite([1, 2]), 2, Window(cap + 1, cap + 1))
     with pytest.raises(CapError):
         hfold_product(finite([1, 2]), 2, Window(-(cap + 1), 10))
+    assert calls == []
+
+
+def test_hfold_product_caps_the_window_before_trial_division(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        sumsets, "_signed_divisors", lambda v: calls.append(v) or ()
+    )
+    lo = -(MATERIALIZE_CAP // 2)
+    win = Window(lo, lo + MATERIALIZE_CAP)
+    assert win.size == MATERIALIZE_CAP + 1
+    with pytest.raises(CapError, match=f"window of size {win.size} exceeds"):
+        hfold_product(finite([2, 3]), 2, win)
     assert calls == []
 
 
