@@ -13,6 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from inspect import signature
 from itertools import compress
 
 from .errors import CapError, ConstructionError, InputError
@@ -41,7 +42,7 @@ from .symbolic import (
     union,
     window_bits,
 )
-from .sumsets import Closed, symbolic_hfold_sum
+from .sumsets import _closed_hfold
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,16 @@ class TailCertificate:
 
 
 class Family(ABC):
-    """A decreasing chain of integer sets indexed by q = 1, 2, ..."""
+    """A decreasing chain of integer sets indexed by q = 1, 2, ...
+
+    `kind` tags the family's JSON document and `fields` declares the
+    document's other keys in order, each with its shape: "int", "ints",
+    "set", "sets" or "family".  A field is optional where the constructor
+    has a default.
+    """
 
     kind: str = "family"
+    fields: dict[str, str] = {}
     depth: int | None = None  # None: the chain is infinite
 
     @abstractmethod
@@ -84,7 +92,8 @@ class Family(ABC):
         return None
 
     def params(self) -> dict:
-        return {}
+        """The declared fields' values, by name."""
+        return {name: getattr(self, name) for name in self.fields}
 
     def layer_reach(self, q: int) -> int:
         """Magnitude scale of the q-th layer's parameters.
@@ -107,6 +116,7 @@ class TailFamily(Family):
     """Layers core | {|x| >= q}: two-sided tails that shrink away."""
 
     kind = "tail"
+    fields = {"core": "set"}
 
     def __init__(self, core: IntSet):
         self.core = normalize(core)
@@ -125,14 +135,12 @@ class TailFamily(Family):
         # elements and covers every n >= 0; mirror the signs for n < 0
         return TailCertificate(h, ALL, "integers-tail")
 
-    def params(self) -> dict:
-        return {"core": self.core}
-
 
 class HalfTailFamily(Family):
     """Layers core | {x >= q}: one-sided tails."""
 
     kind = "half-tail"
+    fields = {"core": "set"}
 
     def __init__(self, core: IntSet):
         self.core = normalize(core)
@@ -152,19 +160,16 @@ class HalfTailFamily(Family):
             return None
         # below-bounded summands give each target finitely many
         # representations, so layers deep enough add nothing
-        res = symbolic_hfold_sum(self.core, h)
-        if isinstance(res, Closed):
-            return TailCertificate(h, res.set, "finiteness")
-        return None
-
-    def params(self) -> dict:
-        return {"core": self.core}
+        if (fold := _closed_hfold(self.core, h)) is None:
+            return None
+        return TailCertificate(h, fold, "finiteness")
 
 
 class CongruenceChainFamily(Family):
     """Layers spread a finite core along a divisibility chain of moduli."""
 
     kind = "congruence-chain"
+    fields = {"core": "ints", "m1": "int", "moduli": "ints", "ratio": "int"}
 
     def __init__(self, core, m1: int | None = None, ratio: int = 2, moduli=None):
         elements = tuple(sorted(set(int(a) for a in core)))
@@ -177,7 +182,7 @@ class CongruenceChainFamily(Family):
             if not chain:
                 raise ConstructionError("modulus chain must be nonempty")
             for a, b in zip(chain, chain[1:]):
-                if b <= a or b % a != 0:
+                if a < 1 or b <= a or b % a != 0:
                     raise ConstructionError(
                         f"moduli must strictly increase along divisibility, "
                         f"got {a} then {b}"
@@ -213,9 +218,9 @@ class CongruenceChainFamily(Family):
     def certificate(self, h: int) -> TailCertificate | None:
         # deep enough layers have m_q > 2h*m_star, where the core sums are
         # pairwise incongruent; only they survive the full intersection
-        res = symbolic_hfold_sum(normalize(Finite(self.core)), h)
-        assert isinstance(res, Closed)
-        return TailCertificate(h, res.set, "congruence-chain")
+        if (fold := _closed_hfold(normalize(Finite(self.core)), h)) is None:
+            return None
+        return TailCertificate(h, fold, "congruence-chain")
 
     def pinning_depth(self, h: int, wmax: int) -> int:
         """Least q whose modulus pins every |x| <= wmax to a core sum."""
@@ -235,6 +240,7 @@ class CosetTailFamily(Family):
     """A subgroup dZ plus a receding tail {x + d*r : r >= q} of one coset."""
 
     kind = "coset-tail"
+    fields = {"subgroup_step": "int", "coset_base": "int"}
 
     def __init__(self, subgroup_step: int, coset_base: int):
         if subgroup_step < 2:
@@ -285,13 +291,11 @@ class EnumerationFamily(Family):
     """
 
     kind = "enumeration"
+    fields = {"core": "set"}
     _SEARCH_CAP = 1 << 20
 
-    def __init__(self, core):
-        if isinstance(core, IntSet):
-            self.core = normalize(core)
-        else:
-            self.core = normalize(Finite(tuple(sorted(set(map(int, core))))))
+    def __init__(self, core: IntSet):
+        self.core = normalize(core)
         if self.core == ALL:
             raise ConstructionError("core must have a nonempty complement")
 
@@ -336,18 +340,24 @@ class EnumerationFamily(Family):
         # every layer is cofinite, and two cofinite sets sum to all of Z
         return TailCertificate(h, ALL, "cofinite-basis")
 
-    def params(self) -> dict:
-        return {"core": self.core}
+
+def _check_inner(inner) -> None:
+    if not isinstance(inner, Family):
+        raise ConstructionError(
+            f"inner must be a family of integer sets, got {type(inner).__name__}"
+        )
 
 
 class AffineFamily(Family):
     """unit * F + shift, layer by layer."""
 
     kind = "affine"
+    fields = {"unit": "int", "shift": "int", "inner": "family"}
 
     def __init__(self, unit: int, shift: int, inner: Family):
         if unit not in (1, -1):
             raise ConstructionError(f"unit must be +1 or -1, got {unit}")
+        _check_inner(inner)
         self.unit = unit
         self.shift = shift
         self.inner = inner
@@ -373,9 +383,6 @@ class AffineFamily(Family):
     def layer_reach(self, q: int) -> int:
         return self.inner.layer_reach(q) + abs(self.shift)
 
-    def params(self) -> dict:
-        return {"unit": self.unit, "shift": self.shift, "inner": self.inner}
-
 
 class ScaledFamily(Family):
     """k * F for |k| >= 2.
@@ -386,12 +393,14 @@ class ScaledFamily(Family):
     """
 
     kind = "scaled"
+    fields = {"inner": "family", "factor": "int"}
 
     def __init__(self, inner: Family, factor: int):
         if factor in (0, 1, -1):
             raise ConstructionError(
                 f"scale factor must have magnitude >= 2, got {factor}"
             )
+        _check_inner(inner)
         self.inner = inner
         self.factor = factor
         self.depth = inner.depth
@@ -405,14 +414,12 @@ class ScaledFamily(Family):
     def layer_reach(self, q: int) -> int:
         return abs(self.factor) * self.inner.layer_reach(q)
 
-    def params(self) -> dict:
-        return {"inner": self.inner, "factor": self.factor}
-
 
 class ExplicitFamily(Family):
     """A hand-given finite chain A_1, ..., A_Q (the index set is finite)."""
 
     kind = "explicit"
+    fields = {"sets": "sets"}
 
     def __init__(self, sets):
         layers = tuple(normalize(s) for s in sets)
@@ -431,20 +438,18 @@ class ExplicitFamily(Family):
     def certificate(self, h: int) -> TailCertificate | None:
         folds = []
         for s in self.sets:
-            res = symbolic_hfold_sum(s, h)
-            if not isinstance(res, Closed):
+            if (fold := _closed_hfold(s, h)) is None:
                 return None
-            folds.append(res.set)
+            folds.append(fold)
         return TailCertificate(h, intersect(*folds), "explicit")
-
-    def params(self) -> dict:
-        return {"sets": list(self.sets)}
 
 
 class ProductFamily:
     """Componentwise pairing of two families over Z x Z."""
 
     kind = "product"
+    fields = {"left": "family", "right": "family"}
+    params = Family.params
 
     def __init__(self, left: Family, right: Family):
         self.left = left
@@ -457,9 +462,6 @@ class ProductFamily:
 
     def intersection(self) -> tuple[IntSet, IntSet]:
         return (self.left.intersection(), self.right.intersection())
-
-    def params(self) -> dict:
-        return {"left": self.left, "right": self.right}
 
 
 # ---------------------------------------------------------------------------
@@ -532,33 +534,28 @@ def classify_monotonicity(
 # construction from tagged parameters
 
 
-_BUILDERS = {
-    "tail": lambda p: TailFamily(p["core"]),
-    "half-tail": lambda p: HalfTailFamily(p["core"]),
-    "congruence-chain": lambda p: CongruenceChainFamily(
-        p["core"],
-        m1=p.get("m1"),
-        ratio=p.get("ratio", 2),
-        moduli=p.get("moduli"),
-    ),
-    "coset-tail": lambda p: CosetTailFamily(p["subgroup_step"], p["coset_base"]),
-    "enumeration": lambda p: EnumerationFamily(p["core"]),
-    "affine": lambda p: AffineFamily(p["unit"], p["shift"], p["inner"]),
-    "scaled": lambda p: ScaledFamily(p["inner"], p["factor"]),
-    "explicit": lambda p: ExplicitFamily(p["sets"]),
+FAMILY_KINDS = {
+    cls.kind: cls
+    for cls in (TailFamily, HalfTailFamily, CongruenceChainFamily, CosetTailFamily,
+                EnumerationFamily, AffineFamily, ScaledFamily, ExplicitFamily, ProductFamily)
 }
 
 
-def build(kind: str, params: dict) -> Family:
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
+def family_class(kind) -> type:
+    """The class of a family document's kind tag."""
+    cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConstructionError(
-            f"unknown family kind {kind!r}; expected one of {sorted(_BUILDERS)}"
-        ) from None
+            f"unknown family kind {kind!r}; expected one of {sorted(FAMILY_KINDS)}"
+        )
+    return cls
+
+
+def build(kind: str, params: dict) -> Family | ProductFamily:
+    """The family of the given kind, from its fields' values by name."""
+    cls = family_class(kind)
     try:
-        return builder(params)
-    except KeyError as missing:
-        raise ConstructionError(
-            f"family kind {kind!r} is missing parameter {missing}"
-        ) from None
+        signature(cls).bind(**params)
+    except TypeError as exc:  # a missing or unknown field
+        raise ConstructionError(f"family kind {kind!r}: {exc}") from None
+    return cls(**params)

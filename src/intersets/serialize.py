@@ -1,5 +1,17 @@
 """JSON and TSV forms for sets, families, and verdict reports.
 
+A set or family document is a JSON object tagged with its kind ("kind"
+for a set, "family" for a family); its other keys are the kind's fields.
+Each kind declares its fields once, in order, with one of five shapes:
+"int", "ints" (a list of integers), "set" (a set document), "sets" (a
+list of them) and "family" (a family document).  The set kinds are
+declared in `_SET_KINDS` below and the family kinds by each family
+class's `fields`.  One decoder reads every document through these
+declarations.  A value of the wrong shape is a ParseError, and a missing
+or unknown field is a ConstructionError.  null stands for an absent
+optional field (one whose constructor has a default) and is refused for
+every other field.
+
 Numbers are emitted as decimal strings so reports survive readers that
 truncate large integers; parsing accepts plain numbers as well.
 """
@@ -7,12 +19,15 @@ truncate large integers; parsing accepts plain numbers as well.
 from __future__ import annotations
 
 import json
+from functools import cache
+from inspect import signature
 
 from .analyzer import HConfig, HReport, HVerdict
-from .errors import ParseError
-from .families import Family, ProductFamily, build
+from .errors import ConstructionError, ParseError
+from .families import Family, ProductFamily, family_class
 from .symbolic import (
     ALL,
+    EMPTY,
     Affine,
     Cofinite,
     Congruence,
@@ -24,10 +39,12 @@ from .symbolic import (
     Tail,
     Union,
     Window,
+    affine,
     cofinite,
     congruence,
     finite,
     half_tail,
+    intersect,
     normalize,
     tail,
     union,
@@ -56,72 +73,110 @@ def _emit(n: int | None):
 
 
 # ---------------------------------------------------------------------------
-# sets
+# set and family documents
+
+
+# kind -> (the node type written as this kind, constructor, fields)
+_SET_KINDS = {
+    "empty": (Empty, lambda: EMPTY, {}),
+    "all": (None, lambda: ALL, {}),
+    "finite": (Finite, finite, {"elements": "ints"}),
+    "cofinite": (Cofinite, cofinite, {"excluded": "ints"}),
+    "congruence": (Congruence, congruence, {"modulus": "int", "residues": "ints"}),
+    "tail": (Tail, tail, {"center": "int", "radius": "int"}),
+    "half-tail": (HalfTail, half_tail, {"threshold": "int"}),
+    "union": (Union, lambda parts: union(*parts), {"parts": "sets"}),
+    "intersection": (Intersection, lambda parts: intersect(*parts), {"parts": "sets"}),
+    "affine": (Affine, affine, {"unit": "int", "shift": "int", "inner": "set"}),
+}
+_SET_KIND_OF = {node: kind for kind, (node, _, _) in _SET_KINDS.items() if node}
 
 
 def set_to_json(s: IntSet) -> dict:
-    if isinstance(s, Empty):
-        return {"kind": "empty"}
-    if isinstance(s, Finite):
-        return {"kind": "finite", "elements": [str(e) for e in s.elements]}
-    if isinstance(s, Cofinite):
-        return {"kind": "cofinite", "excluded": [str(e) for e in s.excluded]}
-    if isinstance(s, Congruence):
-        return {
-            "kind": "congruence",
-            "modulus": str(s.modulus),
-            "residues": [str(r) for r in s.residues],
-        }
-    if isinstance(s, Tail):
-        return {"kind": "tail", "center": str(s.center), "radius": str(s.radius)}
-    if isinstance(s, HalfTail):
-        return {"kind": "half-tail", "threshold": str(s.threshold)}
-    if isinstance(s, Union):
-        return {"kind": "union", "parts": [set_to_json(p) for p in s.parts]}
-    if isinstance(s, Intersection):
-        return {"kind": "intersection", "parts": [set_to_json(p) for p in s.parts]}
-    if isinstance(s, Affine):
-        return {
-            "kind": "affine",
-            "unit": str(s.unit),
-            "shift": str(s.shift),
-            "inner": set_to_json(s.inner),
-        }
-    raise ParseError(f"unserializable set node {type(s).__name__}")
+    kind = _SET_KIND_OF.get(type(s))
+    if kind is None:
+        raise ParseError(f"unserializable set node {type(s).__name__}")
+    fields = _SET_KINDS[kind][2]
+    return {"kind": kind, **{n: _WRITE[fields[n]](getattr(s, n)) for n in fields}}
+
+
+def family_to_json(f: Family | ProductFamily) -> dict:
+    fields = f.fields
+    return {
+        "family": f.kind,
+        **{n: _WRITE[fields[n]](v) for n, v in f.params().items()},
+    }
 
 
 def set_from_json(d) -> IntSet:
     if not isinstance(d, dict) or "kind" not in d:
         raise ParseError(f"a set needs a 'kind' tag, got {d!r}")
     kind = d["kind"]
-    try:
-        if kind == "empty":
-            return normalize(Finite(()))
-        if kind == "all":
-            return ALL
-        if kind == "finite":
-            return finite(_num(e) for e in d["elements"])
-        if kind == "cofinite":
-            return cofinite(_num(e) for e in d["excluded"])
-        if kind == "congruence":
-            return congruence(_num(d["modulus"]), [_num(r) for r in d["residues"]])
-        if kind == "tail":
-            return tail(_num(d["center"]), _num(d["radius"]))
-        if kind == "half-tail":
-            return half_tail(_num(d["threshold"]))
-        if kind == "union":
-            return union(*(set_from_json(p) for p in d["parts"]))
-        if kind == "intersection":
-            from .symbolic import intersect
+    if not isinstance(kind, str) or kind not in _SET_KINDS:
+        raise ParseError(f"unknown set kind {kind!r}")
+    _, make, fields = _SET_KINDS[kind]
+    return _decode(f"set kind {kind!r}", make, fields, d, "kind")
 
-            return intersect(*(set_from_json(p) for p in d["parts"]))
-        if kind == "affine":
-            from .symbolic import affine
 
-            return affine(_num(d["unit"]), _num(d["shift"]), set_from_json(d["inner"]))
-    except KeyError as missing:
-        raise ParseError(f"set kind {kind!r} is missing field {missing}") from None
-    raise ParseError(f"unknown set kind {kind!r}")
+def family_from_json(d) -> Family | ProductFamily:
+    if not isinstance(d, dict) or "family" not in d:
+        raise ParseError(f"a family needs a 'family' tag, got {d!r}")
+    cls = family_class(d["family"])
+    return _decode(f"family kind {cls.kind!r}", cls, cls.fields, d, "family")
+
+
+def _decode(what: str, make, fields: dict, d: dict, tag: str):
+    """make(**values) of the declared fields read off the document d."""
+    for key in d:
+        if key != tag and key not in fields:
+            raise ConstructionError(
+                f"{what} has no field {key!r}; its fields are {list(fields)}"
+            )
+    values = {}
+    for name, shape in fields.items():
+        value = d.get(name)
+        if value is not None:
+            try:
+                values[name] = _READ[shape](value)
+            except ParseError as exc:
+                raise ParseError(f"{what}, field {name!r}: {exc}") from None
+        elif name in _required(make):
+            if name in d:
+                raise ParseError(f"{what}, field {name!r}: must not be null")
+            raise ConstructionError(f"{what} is missing field {name!r}")
+    return make(**values)
+
+
+@cache
+def _required(make) -> frozenset[str]:
+    """The parameters of make that have no default."""
+    params = signature(make).parameters.values()
+    return frozenset(p.name for p in params if p.default is p.empty)
+
+
+def _list_of(read, of: str):
+    def read_list(value) -> list:
+        if not isinstance(value, list):
+            raise ParseError(f"expected a list of {of}, got {value!r}")
+        return [read(v) for v in value]
+
+    return read_list
+
+
+_READ = {
+    "int": _num,
+    "ints": _list_of(_num, "integers"),
+    "set": set_from_json,
+    "sets": _list_of(set_from_json, "set documents"),
+    "family": family_from_json,
+}
+_WRITE = {
+    "int": str,
+    "ints": lambda values: [str(v) for v in values],
+    "set": set_to_json,
+    "sets": lambda values: [set_to_json(v) for v in values],
+    "family": family_to_json,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -160,71 +215,6 @@ def parse_set_expr(text: str) -> IntSet:
     except (ValueError, TypeError):
         raise ParseError(f"malformed set expression {expr!r}") from None
     raise ParseError(f"unknown set expression {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# families
-
-
-def family_to_json(f) -> dict:
-    if isinstance(f, ProductFamily):
-        return {
-            "family": "product",
-            "left": family_to_json(f.left),
-            "right": family_to_json(f.right),
-        }
-    out: dict = {"family": f.kind}
-    for key, value in f.params().items():
-        if isinstance(value, IntSet):
-            out[key] = set_to_json(value)
-        elif isinstance(value, Family):
-            out[key] = family_to_json(value)
-        elif isinstance(value, (list, tuple)):
-            out[key] = [
-                set_to_json(v) if isinstance(v, IntSet) else str(v) for v in value
-            ]
-        elif isinstance(value, int):
-            out[key] = str(value)
-        else:
-            out[key] = value
-    return out
-
-
-_SET_PARAMS = {"core"}
-_FAMILY_PARAMS = {"inner", "left", "right"}
-_INT_LIST_PARAMS = {"moduli"}
-_SET_LIST_PARAMS = {"sets"}
-
-
-def family_from_json(d) -> Family | ProductFamily:
-    if not isinstance(d, dict) or "family" not in d:
-        raise ParseError(f"a family needs a 'family' tag, got {d!r}")
-    kind = d["family"]
-    if kind == "product":
-        return ProductFamily(
-            family_from_json(d["left"]), family_from_json(d["right"])
-        )
-    params = {}
-    for key, value in d.items():
-        if key == "family":
-            continue
-        if key in _FAMILY_PARAMS:
-            params[key] = family_from_json(value)
-        elif key in _SET_LIST_PARAMS:
-            params[key] = [set_from_json(v) for v in value]
-        elif key in _INT_LIST_PARAMS:
-            params[key] = None if value is None else [_num(v) for v in value]
-        elif key in _SET_PARAMS:
-            if isinstance(value, dict):
-                params[key] = set_from_json(value)
-            else:
-                # chain cores are plain integer lists
-                params[key] = [_num(v) for v in value]
-        elif value is None:
-            params[key] = None
-        else:
-            params[key] = _num(value)
-    return build(kind, params)
 
 
 # ---------------------------------------------------------------------------

@@ -308,19 +308,25 @@ def symbolic_hfold_sum(
     if h < 1:
         raise DomainError(f"h must be >= 1, got {h}")
     s = normalize(s)
-    acc: IntSet | None = s
-    # ascending h keeps _closed_fold's recursion one level deep
-    for k in range(2, h + 1):
-        acc = _closed_fold(s, k)
-        if acc is None:
-            break
-    if acc is not None:
+    if (acc := _closed_hfold(s, h)) is not None:
         return Closed(acc)
     if window is None:
         raise NoClosedForm(
             "no closed-form rule applies; supply a window for enumeration"
         )
     return windowed_hfold_sum(s, h, window, gen_radius or default_radius(window, h))
+
+
+def _closed_hfold(s: IntSet, h: int) -> IntSet | None:
+    """The h-fold sum of a normalized set in closed form, or None when no
+    rewrite rule closes it."""
+    acc: IntSet | None = s
+    # ascending h keeps _closed_fold's recursion one level deep
+    for k in range(2, h + 1):
+        acc = _closed_fold(s, k)
+        if acc is None:
+            break
+    return acc
 
 
 @lru_cache(maxsize=_CLOSED_FOLD_CACHE)

@@ -1169,38 +1169,3 @@ def _congruence_bits(c: Congruence, lo: int, n: int) -> int:
         width *= 2
     return out & ((1 << n) - 1)
 
-
-# ---------------------------------------------------------------------------
-# structured description (for reports and serialization previews)
-
-
-def describe(s: IntSet) -> str:
-    if isinstance(s, Empty):
-        return "{}"
-    if isinstance(s, Finite):
-        e = s.elements
-        if len(e) > 8:
-            head = ", ".join(map(str, e[:4]))
-            return f"{{{head}, ... ({len(e)} elements), {e[-1]}}}"
-        return "{" + ", ".join(map(str, e)) + "}"
-    if isinstance(s, Cofinite):
-        if not s.excluded:
-            return "Z"
-        return f"Z \\ {describe(Finite(s.excluded))}"
-    if isinstance(s, Congruence):
-        rs = ", ".join(map(str, s.residues))
-        return f"{{x : x mod {s.modulus} in {{{rs}}}}}"
-    if isinstance(s, Tail):
-        return f"{{x : |x - {s.center}| >= {s.radius}}}"
-    if isinstance(s, HalfTail):
-        return f"{{x : x >= {s.threshold}}}"
-    if (b := as_down_tail(s)) is not None:
-        return f"{{x : x <= {b}}}"
-    if isinstance(s, Affine):
-        sign = "" if s.unit == 1 else "-"
-        return f"{sign}({describe(s.inner)}) + {s.shift}"
-    if isinstance(s, Union):
-        return " u ".join(describe(p) for p in s.parts)
-    if isinstance(s, Intersection):
-        return " n ".join(describe(p) for p in s.parts)
-    raise TypeError(f"not an IntSet: {s!r}")

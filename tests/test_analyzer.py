@@ -13,6 +13,7 @@ from intersets import (
     CosetTailFamily,
     EMPTY,
     EnumerationFamily,
+    ExplicitFamily,
     HConfig,
     InputError,
     InvariantError,
@@ -135,6 +136,23 @@ def test_enumeration():
         CERTIFIED_OUT,
     )
     assert [v.witness for v in rep.verdicts] == [None, -1, -1, -1]
+
+
+EVENS = finite(range(0, 60, 2))  # 30 points: no rewrite closes their 2-fold sum
+
+
+@pytest.mark.parametrize(
+    "fam, h2",
+    [
+        (ExplicitFamily([EVENS] * 2), EMPIRICAL_EQUAL),
+        (HalfTailFamily(EVENS), UNDETERMINED),
+        (CongruenceChainFamily(range(0, 60, 2), m1=200), EMPIRICAL_EQUAL),
+    ],
+    ids=["explicit", "half-tail", "congruence-chain"],
+)
+def test_unclosed_certificate_falls_back_to_layer_folds(fam, h2):
+    assert fam.certificate(2) is None
+    assert compute_H(fam, 2).statuses == (CERTIFIED_IN, h2)
 
 
 def test_compute_H_gates():

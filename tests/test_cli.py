@@ -1,5 +1,6 @@
 """Command-line entry: subcommands, formats, exit codes."""
 
+import io
 import json
 from pathlib import Path
 
@@ -231,3 +232,57 @@ def test_invariant_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
+
+
+_TAIL = {"family": "tail", "core": {"kind": "empty"}}
+_PRODUCT = {"family": "product", "left": _TAIL, "right": _TAIL}
+_CHAIN = {"family": "congruence-chain", "core": ["0", "1", "3"], "m1": "7"}
+MALFORMED = {
+    "core-is-an-integer": {"family": "tail", "core": 5},
+    "core-is-a-list": {"family": "tail", "core": [1, 2]},
+    "chain-core-is-a-set": {**_CHAIN, "core": {"kind": "finite", "elements": ["0"]}},
+    "half-tail-null-core": {"family": "half-tail", "core": None},
+    "scaled-null-factor": {"family": "scaled", "factor": None, "inner": _TAIL},
+    "coset-tail-null-step": {
+        "family": "coset-tail", "subgroup_step": None, "coset_base": "1"
+    },
+    "affine-null-shift": {"family": "affine", "unit": "1", "shift": None, "inner": _TAIL},
+    "affine-of-product": {"family": "affine", "unit": "1", "shift": "0", "inner": _PRODUCT},
+    "scaled-of-product": {"family": "scaled", "factor": "2", "inner": _PRODUCT},
+    "elements-is-an-integer": {"family": "tail", "core": {"kind": "finite", "elements": 5}},
+    "parts-is-an-integer": {"family": "tail", "core": {"kind": "union", "parts": 5}},
+    "residues-is-a-string": {
+        "family": "tail",
+        "core": {"kind": "congruence", "modulus": "4", "residues": "13"},
+    },
+    "chain-core-is-a-string": {**_CHAIN, "core": "123"},
+    "chain-modulus-zero": {**_CHAIN, "m1": None, "moduli": ["0", "8"]},
+    "unknown-field": {**_TAIL, "junk": "3"},
+}
+
+
+def _hset_stdin(doc, monkeypatch) -> int:
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    return main(["hset", "--family", "-", "--hmax", "2"])
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_hset_malformed_document_is_one_error_line(doc, monkeypatch, capsys):
+    assert _hset_stdin(doc, monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_hset_null_ratio_is_the_default(monkeypatch, capsys):
+    assert _hset_stdin(_CHAIN, monkeypatch) == 0
+    expected = capsys.readouterr().out
+    assert _hset_stdin({**_CHAIN, "ratio": None}, monkeypatch) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_hset_chain_core_past_the_fold_cap(monkeypatch, capsys):
+    doc = {**_CHAIN, "core": [str(x) for x in range(0, 60, 2)], "m1": "200"}
+    assert _hset_stdin(doc, monkeypatch) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split("\t")[1] for r in rows] == ["CertifiedIn", "EmpiricalEqual"]

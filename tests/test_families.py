@@ -72,6 +72,11 @@ def test_affine_scaled_gates():
         ScaledFamily(inner, 1)
     with pytest.raises(ConstructionError):
         ScaledFamily(inner, 0)
+    pair = ProductFamily(inner, inner)
+    with pytest.raises(ConstructionError):
+        AffineFamily(1, 0, pair)
+    with pytest.raises(ConstructionError):
+        ScaledFamily(pair, 2)
 
 
 def test_builder_gates():
@@ -79,6 +84,8 @@ def test_builder_gates():
         build("mystery", {})
     with pytest.raises(ConstructionError):
         build("coset-tail", {"subgroup_step": 3})
+    with pytest.raises(ConstructionError):
+        build("coset-tail", {"subgroup_step": 3, "coset_base": 1, "junk": 0})
 
 
 # -- layer shapes -----------------------------------------------------------

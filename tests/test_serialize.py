@@ -4,8 +4,10 @@ import pytest
 
 from intersets import (
     EMPTY,
+    AffineFamily,
     CongruenceChainFamily,
     ConstructionError,
+    CosetTailFamily,
     EnumerationFamily,
     ExplicitFamily,
     HalfTailFamily,
@@ -82,13 +84,23 @@ def test_set_parse_errors():
         set_from_json({"kind": "mystery"})
     with pytest.raises(ParseError):
         set_from_json("finite")
+    # a list field is never read off a string one character at a time
+    with pytest.raises(ParseError):
+        set_from_json({"kind": "finite", "elements": "12"})
+    # a missing or unknown field is a construction error
+    with pytest.raises(ConstructionError):
+        set_from_json({"kind": "tail", "center": "0"})
+    with pytest.raises(ConstructionError):
+        set_from_json({"kind": "empty", "elements": []})
 
 
 FAMILIES = [
     TailFamily(union(congruence(4, (0,)), finite([1]))),
     HalfTailFamily(finite([-2, 5])),
     CongruenceChainFamily((0, 1, 3), m1=7),
+    CosetTailFamily(4, 3),
     EnumerationFamily(finite([0, 1])),
+    AffineFamily(-1, 2, HalfTailFamily(finite([0, 3]))),
     ScaledFamily(TailFamily(finite([0])), -2),
     ExplicitFamily([half_tail(0), half_tail(3)]),
     ProductFamily(TailFamily(finite([0, 1])), HalfTailFamily(EMPTY)),
@@ -113,6 +125,13 @@ def test_family_parse_errors():
         family_from_json({"family": "tail"})
     with pytest.raises(ConstructionError):
         family_from_json({"family": "nope"})
+    # null stands for an absent optional field, and is refused for others
+    chain = {"family": "congruence-chain", "core": [0, 1], "m1": 5}
+    assert family_from_json({**chain, "ratio": None}).ratio == 2
+    with pytest.raises(ParseError):
+        family_from_json({"family": "half-tail", "core": None})
+    with pytest.raises(ParseError):
+        family_from_json({**chain, "moduli": "5"})
 
 
 def test_report_round_trip_plain():
