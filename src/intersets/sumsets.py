@@ -6,32 +6,45 @@ enumeration over offset bit arrays, which is exact within the window and
 carries an explicit completeness flag.
 
 The windowed engine holds a set as one Python int whose bit k marks the
-point k - offset, and folds it h times.  Each fold is a boolean
-convolution with one of two exact kernels, chosen by the sparser
-operand's popcount p:
+point k - offset, and folds it h times.  Every term is eventually
+periodic, and so is its bitset: a few arithmetic runs whose step g is the
+term's period (the lcm of its congruence moduli, or 1 when that passes the
+set's span).  Sums keep that period, so g is read once per fold.  Each
+fold is a boolean convolution with one of two exact kernels, chosen by
+the shift-or count of the cheaper operand:
 
-- below the crossover, a shift-or loop: one shifted copy of the denser
-  operand per set bit of the sparser;
+- below the crossover, a shift-or walk of that operand's maximal runs of
+  step g.  A run of L points is covered by two copies of its first 2**k
+  points, k = bit_length(L) - 1, one at its start and one ending at its
+  end; OR is idempotent, so their overlap is harmless.  The walk ORs in
+  one shifted copy of the other operand per such offset, highest k
+  first, and doubles the accumulated copies by 2**(k-1) * g between
+  levels, so the count is the number of offsets plus the top level.  A
+  lone set bit is a run of length 1; an operand with few set bits, or
+  with at least half as many runs as set bits, is walked bit by bit, one
+  shifted copy per set bit;
 - from the crossover on, Kronecker substitution: each operand is written
-  as a decimal string with one d-digit field per bit, d = len(str(p)),
-  and the two strings are multiplied once by the standard library's
-  `decimal` module (libmpdec switches to a number-theoretic transform
-  for large operands).  Field k of the product counts the pairs summing
-  to k.  No element of the sparser operand pairs twice with one sum, so
-  a count is at most p < 10**d, no field carries into the next, and the
-  nonzero fields are exactly the sums.  The multiplication runs in a
-  context whose precision covers every product and which traps Inexact
-  and Rounded, so a rounding could only raise, never pass silently.
+  as a decimal string with one d-digit field per bit, d = len(str(p)) for
+  the smaller popcount p, and the two strings are multiplied once by the
+  standard library's `decimal` module (libmpdec switches to a
+  number-theoretic transform for large operands).  Field k of the product
+  counts the pairs summing to k.  No element of the sparser operand pairs
+  twice with one sum, so a count is at most p < 10**d, no field carries
+  into the next, and the nonzero fields are exactly the sums.  The
+  multiplication runs in a context whose precision covers every product
+  and which traps Inexact and Rounded, so a rounding could only raise,
+  never pass silently.  Operands with no run structure past the
+  crossover, such as dense sums of spread-out finite sets, take it.
 
-With base popcount p, the fold adds one summand at a time against the
-base while (h - 1) * p is below the crossover, so every product runs the
-shift-or loop over the base's p bits; otherwise it squares repeatedly.
-No fold computes a sum that cannot land in the window: with the base
-spanning offsets 0..w and the window at offsets lo..hi from h times the
-smallest member, a partial sum of k summands is kept only on offsets
-lo - (h - k) * w .. hi, since the h - k summands still to come add 0 to
-(h - k) * w.  Operand bits above hi are dropped before a product, and
-the Kronecker kernel decodes only the kept fields of its product string.
+With base shift-or count c, the fold adds one summand at a time against
+the base while (h - 1) * c is below the crossover; otherwise it squares
+repeatedly.  No fold computes a sum that cannot land in the window: with
+the base spanning offsets 0..w and the window at offsets lo..hi from h
+times the smallest member, a partial sum of k summands is kept only on
+offsets lo - (h - k) * w .. hi, since the h - k summands still to come
+add 0 to (h - k) * w.  Operand bits above hi are dropped before a
+product, and the Kronecker kernel decodes only the kept fields of its
+product string.
 
 The operand bitset comes straight from the set's term
 (`symbolic.window_bits`: masks for tails and rays, a doubled period for a
@@ -39,16 +52,16 @@ congruence, OR and AND for unions and intersections), never from a list
 of members; `symbolic.materialize` decodes the same int, so both read one
 membership implementation.  Its empty span below the smallest member is
 shifted off before folding, so every fold covers only the span the set
-occupies, and the window is read back from the last cut fold with
-`symbolic.bit_flags`, from one binary string in a single pass.  This
-path needs only the standard library.
+occupies, and the window is read back from the last cut fold in one pass
+over its binary string.  This path needs only the standard library.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -84,7 +97,6 @@ from .symbolic import (
     IN,
     OUT,
     as_down_tail,
-    bit_flags,
     bounds,
     check_cap,
     congruence,
@@ -106,8 +118,9 @@ from .symbolic import (
 
 _FINITE_FOLD_CAP = 24
 _REP_RANGE_CAP = 400_000
-# largest |target| of a multiplicative count or product window: divisors
-# are found by trial division up to sqrt(|target|)
+# largest |target| of a multiplicative count or product window: a count
+# trial-divides up to sqrt(|target|), and a product window lists the set's
+# members within the square root of its radius
 _MULT_TARGET_CAP = 10**10
 # (set, h) entries of the closed-fold memo: one pass of all 16 verify
 # scenarios fills 8,087 to 8,260 at seeds 0, 5 and 7
@@ -348,10 +361,18 @@ def default_radius(window: Window, h: int, q: int = 0) -> int:
 # windowed enumeration over offset bit arrays
 
 
-# smallest popcount of the sparser operand at which one Kronecker product
-# beats the shift-or loop: measured near 4096 set bits for operands of 1e4
-# to 3e5 bits, since both costs grow linearly with the longer operand
-_KRONECKER_MIN_POPCOUNT = 4096
+# smallest shift-or count of the cheaper operand at which a product takes
+# the Kronecker kernel.  Both costs grow linearly with the longer operand:
+# for random operands of 1e4 to 3e5 bits, 4096 shifts cost 0.4 to 0.5 of
+# one Kronecker product and 8192 shifts 0.8 to 0.85.  Whole folds of spread
+# finite sets (h = 2 to 4, windows 5e3 to 4e4, 60 to 6000 points), where
+# this constant also sets the fold order, took the same total time within
+# noise at 2048, 4096, 8192 and 16384
+_KRONECKER_MIN_SHIFTS = 4096
+# popcount below which an operand is walked bit by bit: listing the runs of
+# a smaller operand costs more than the shifts it saves.  Replaying every
+# product of an hset-stream pass, 64 ran fastest of 1, 16, 32, 64 and 128
+_RUN_MIN_POPCOUNT = 64
 # exact integer arithmetic: no product of two finite operands can round
 _EXACT = Context(
     prec=MAX_PREC,
@@ -360,34 +381,128 @@ _EXACT = Context(
     traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
 )
 _NONZERO_DIGIT = str.maketrans("23456789", "11111111")
+_ONE = re.compile("1")
+_BIN_FLAG = bytes.maketrans(b"01b", b"\x00\x01\x00")
 
 
-def _conv(bits_a: int, bits_b: int, lo: int = 0, hi: int | None = None) -> int:
+def _period(s: IntSet, span: int) -> int:
+    """The lcm of the congruence moduli in the term, through unions,
+    intersections and affine images, or 1 when it passes span."""
+    g = 1
+    stack = [s]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Congruence):
+            g = math.lcm(g, t.modulus)
+            if g > span:
+                return 1
+        elif isinstance(t, (Union, Intersection)):
+            stack.extend(t.parts)
+        elif isinstance(t, Affine):
+            stack.append(t.inner)
+    return g
+
+
+def _offsets(bits: int, start: int = 0) -> Iterable[int]:
+    """start + i for each set bit i of bits, descending: a sparse int is
+    scanned for its ones, a dense one flags every digit."""
+    n = bits.bit_length()
+    # character i of bin(bits), "0b" and then the digits, marks bit n + 1 - i
+    top = start + n + 1
+    if 8 * bits.bit_count() >= n:
+        flags = bin(bits).encode().translate(_BIN_FLAG)
+        return compress(range(top, start - 2, -1), flags)
+    return [top - m.start() for m in _ONE.finditer(bin(bits))]
+
+
+def _plan(
+    bits: int, g: int, limit: int = _KRONECKER_MIN_SHIFTS
+) -> tuple[int, list[list[int]] | None]:
+    """(shift-ors, plan): how the shift-or kernel walks bits in runs of step g.
+
+    bits is the union, over levels k and offsets p in plan[k], of the 2**k
+    points p, p + g, .., p + (2**k - 1) * g.  A maximal run of L points
+    takes level k = bit_length(L) - 1 and one or two offsets: its first
+    point, and the first of its last 2**k points (OR is idempotent, so the
+    two may overlap).  The kernel ORs in one shifted copy per offset and
+    doubles once per level, so the shift-or count is the number of offsets
+    plus the top level.  plan is None when every set bit is walked as its
+    own run, at one shift-or each: for an operand below _RUN_MIN_POPCOUNT
+    or with at least half as many runs as set bits, where listing the runs
+    saves no shifts, and for one with at least limit runs, whose walk
+    takes at least one shift-or per run and so cannot come in below limit.
+    """
+    popcount = bits.bit_count()
+    if popcount < _RUN_MIN_POPCOUNT:
+        return popcount, None
+    firsts = bits & ~(bits << g)
+    runs = firsts.bit_count()
+    if 2 * runs >= popcount or runs >= limit:
+        return popcount, None
+    firsts, lasts = _offsets(firsts), _offsets(bits & ~(bits >> g))
+    if g > 1:
+        # a stable sort by residue keeps each class's runs in order, so the
+        # i-th first and the i-th last point bound one run
+        firsts = sorted(firsts, key=g.__rmod__)
+        lasts = sorted(lasts, key=g.__rmod__)
+    plan: list[list[int]] = []
+    for a, b in zip(firsts, lasts):
+        n = (b - a) // g + 1
+        k = n.bit_length() - 1
+        while len(plan) <= k:
+            plan.append([])
+        plan[k].append(a)
+        if n > 1 << k:
+            plan[k].append(b - ((1 << k) - 1) * g)
+    return sum(map(len, plan)) + len(plan) - 1, plan
+
+
+def _conv(
+    bits_a: int, bits_b: int, lo: int = 0, hi: int | None = None, g: int = 1
+) -> int:
     """Sumset of two offset bitsets: bit i + j set iff bit i of one and
     bit j of the other are set.  Given hi, only its bits lo..hi, shifted
-    down to start at bit 0."""
+    down to start at bit 0.  g is the step of the operands' runs; any
+    g >= 1 gives the same sumset."""
     if hi is not None:
         # no operand bit above hi reaches a kept sum
         keep = (1 << hi + 1) - 1
         square = bits_a is bits_b
         bits_a &= keep
         bits_b = bits_a if square else bits_b & keep
-    if bits_a.bit_count() > bits_b.bit_count():
-        bits_a, bits_b = bits_b, bits_a
-    popcount = bits_a.bit_count()
-    if popcount >= _KRONECKER_MIN_POPCOUNT:
-        return _conv_kronecker(bits_a, bits_b, popcount, lo, hi)
+    shifts, dense = bits_a.bit_count(), bits_b.bit_count()
+    if shifts > dense:
+        bits_a, bits_b, shifts, dense = bits_b, bits_a, dense, shifts
+    plan = None
+    if dense >= _RUN_MIN_POPCOUNT:
+        # below the run floor both operands walk bit by bit; above it, the
+        # denser one's runs are listed only if it may walk cheaper
+        shifts, plan = _plan(bits_a, g)
+        if bits_b is not bits_a:
+            limit = min(shifts, _KRONECKER_MIN_SHIFTS)
+            shifts_b, plan_b = _plan(bits_b, g, limit)
+            if shifts_b < shifts:
+                bits_a, bits_b, shifts, plan = bits_b, bits_a, shifts_b, plan_b
+    if shifts >= _KRONECKER_MIN_SHIFTS:
+        # a field counts pairs with one sum, at most the smaller popcount
+        fields = min(bits_a.bit_count(), bits_b.bit_count())
+        return _conv_kronecker(bits_a, bits_b, fields, lo, hi)
     out = 0
-    flags = bit_flags(bits_a)
-    for i in compress(range(len(flags)), flags):
-        out |= bits_b << i
-    return _slice(out, lo, hi)
-
-
-def _slice(bits: int, lo: int, hi: int | None) -> int:
-    """Bits lo..hi of bits (all from lo when hi is None), shifted down."""
-    bits >>= lo
-    return bits if hi is None else bits & (1 << hi - lo + 1) - 1
+    if plan is None:
+        # every set bit is its own run: walked without the level loop,
+        # whose bookkeeping costs products below the run floor about 5%
+        for p in _offsets(bits_a):
+            out |= bits_b << p
+    else:
+        for k in range(len(plan) - 1, -1, -1):
+            for p in plan[k]:
+                out |= bits_b << p
+            if k:
+                # every copy ORed in so far now covers 2**k run points
+                out |= out << (g << k - 1)
+    # bits lo..hi, shifted down
+    out >>= lo
+    return out if hi is None else out & (1 << hi - lo + 1) - 1
 
 
 def _conv_kronecker(
@@ -448,11 +563,15 @@ def windowed_hfold_sum(
             keep_hi = min(hi, k * w) - off
             if keep_hi < keep_lo:
                 return 0, 0  # every sum lies past the window
-            return _conv(x[0], y[0], keep_lo, keep_hi), off + keep_lo
+            return _conv(x[0], y[0], keep_lo, keep_hi, g), off + keep_lo
 
+        # every partial sum runs with the term's period.  A base below the
+        # run floor keeps g = 1, exact for any operands: its products walk
+        # it bit by bit, so reading the period would not pay
+        g = _period(s, w) if bits.bit_count() >= _RUN_MIN_POPCOUNT else 1
         keep_lo = max(lo - (h - 1) * w, 0)
-        base = _slice(bits, keep_lo, min(hi, w)), keep_lo
-        if (h - 1) * base[0].bit_count() < _KRONECKER_MIN_POPCOUNT:
+        base = bits >> keep_lo & (1 << min(hi, w) - keep_lo + 1) - 1, keep_lo
+        if (h - 1) * _plan(base[0], g)[0] < _KRONECKER_MIN_SHIFTS:
             # h - 1 shift-or products against the base
             acc = base
             for k in range(2, h + 1):
@@ -469,9 +588,7 @@ def windowed_hfold_sum(
                     break
                 k *= 2
                 part = fold(part, part, k)
-        flags = bit_flags(acc[0])
-        start = h * v0 + acc[1]
-        members = tuple(compress(range(start, start + len(flags)), flags))
+        members = tuple(_offsets(acc[0], h * v0 + acc[1]))[::-1]
     return Windowed(window, members, r, _complete(s, h, window, r))
 
 
@@ -537,24 +654,17 @@ def _signed_divisors(v: int) -> tuple[int, ...]:
     return tuple(sign * d for d in _divisors(abs(v)) for sign in (1, -1))
 
 
-def _divisors_in(s: IntSet) -> Callable[[int], tuple[int, ...]]:
-    """v -> the signed divisors of v that lie in s, trial-divided once per v
-    however many fold depths ask for them."""
-
-    @lru_cache(maxsize=None)
-    def divisors_in(v: int) -> tuple[int, ...]:
-        return tuple(d for d in _signed_divisors(v) if contains(s, d))
-
-    return divisors_in
-
-
 def _rep_mult(s: IntSet, h: int, x: int) -> RepCount:
     if contains(s, 0):
         raise DomainError("multiplicative counts require a set avoiding 0")
     if x == 0:
         raise DomainError("multiplicative counts are defined for nonzero targets")
     _check_mult_target(x)
-    divisors_in = _divisors_in(s)
+
+    @lru_cache(maxsize=None)
+    def divisors_in(v: int) -> tuple[int, ...]:
+        # trial-divided once per v however many fold depths ask
+        return tuple(d for d in _signed_divisors(v) if contains(s, d))
 
     @lru_cache(maxsize=None)
     def count(k: int, v: int) -> int:
@@ -625,7 +735,17 @@ def _rep_infinite(s: IntSet, h: int, x: int) -> bool:
 
 
 def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
-    """Exact h-fold product set within the window (ordered factorizations)."""
+    """Exact h-fold product set within the window (ordered factorizations).
+
+    The products are enumerated, never trial-divided out of window points.
+    Order the h factors of a window point x by size: each of the first
+    h - 1 divides x together with the last, at least as large, so it is at
+    most sqrt(r) in size, r = window.radius; and the first k multiply to at
+    most |x|**(k/h), so (their product)**h <= r**k.  So the products of
+    h - 1 factors from the members of s within sqrt(r) are built under
+    those bounds, and each is completed by the members of s that take it
+    into the window, read off one slice of s.
+    """
     if h < 1:
         raise DomainError(f"h must be >= 1, got {h}")
     s = normalize(s)
@@ -634,23 +754,29 @@ def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
     _check_mult_target(window.radius)
     check_cap(window)
 
-    divisors_in = _divisors_in(s)
-    memo: dict[tuple[int, int], bool] = {}
-
-    def exists(k: int, v: int) -> bool:
-        if k == 1:
-            return contains(s, v)
-        key = (k, v)
-        if key in memo:
-            return memo[key]
-        out = any(exists(k - 1, v // d) for d in divisors_in(v))
-        memo[key] = out
-        return out
-
-    members = tuple(
-        x for x in range(window.lo, window.hi + 1) if x != 0 and exists(h, x)
-    )
-    return Windowed(window, members, window.radius, True)
+    r = window.radius
+    root = math.isqrt(r)
+    small = sorted(materialize(s, Window(-root, root)), key=abs)
+    prods = {1}
+    for k in range(1, h):
+        top = r**k
+        nxt = set()
+        for p in prods:
+            for a in small:
+                if abs(p * a) ** h > top:
+                    break  # small ascends in size
+                nxt.add(p * a)
+        prods = nxt
+    members = set()
+    for p in prods:
+        q = abs(p)
+        # q * b lies in the window for b in [b_lo, b_hi], and p * a = q * b
+        # for a = b, or a = -b when p < 0
+        b_lo, b_hi = -(-window.lo // q), window.hi // q
+        a_lo, a_hi = (b_lo, b_hi) if p > 0 else (-b_hi, -b_lo)
+        if a_lo <= a_hi:
+            members.update(p * a for a in materialize(s, Window(a_lo, a_hi)))
+    return Windowed(window, tuple(sorted(members)), window.radius, True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from collections import Counter
 from unittest import mock
 
@@ -43,9 +44,17 @@ from intersets.sumsets import (
     window_mask,
     windowed_hfold_sum,
 )
-from intersets.symbolic import Congruence, Finite, HalfTail, Union, bounds
+from intersets.symbolic import Affine, Congruence, Finite, HalfTail, Union, bounds
 
-from oracles import fold_values, members, rep_count, spiral, windowed_fold
+from oracles import (
+    fold_values,
+    members,
+    pair_sums,
+    product_values,
+    rep_count,
+    spiral,
+    windowed_fold,
+)
 
 
 # -- closed forms -----------------------------------------------------------
@@ -325,6 +334,10 @@ def _positions(bits: int) -> set[int]:
     return {i for i in range(bits.bit_length()) if bits >> i & 1}
 
 
+def _shift_ors(bits: int, g: int = 1) -> int:
+    return sumsets._plan(bits, g)[0]
+
+
 @given(
     st.integers(1, 40),
     st.integers(-1, 1),
@@ -344,26 +357,31 @@ def test_conv_kernels_match_naive_sums(crossover, da, db, seed, square):
     spy = mock.patch.object(
         sumsets, "_conv_kronecker", wraps=sumsets._conv_kronecker
     )
-    with mock.patch.object(sumsets, "_KRONECKER_MIN_POPCOUNT", crossover):
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_SHIFTS", crossover):
         with spy as kron:
             got = sumsets._conv(a, b)
-    assert kron.called == (min(len(xs), len(ys)) >= crossover)
+    assert kron.called == (min(_shift_ors(a), _shift_ors(b)) >= crossover)
     assert _positions(got) == {x + y for x in xs for y in ys}
 
 
 @pytest.mark.parametrize("square", [True, False])
 @pytest.mark.parametrize("delta", [-1, 0])
 def test_conv_at_the_crossover(square, delta):
-    c = sumsets._KRONECKER_MIN_POPCOUNT
+    c = sumsets._KRONECKER_MIN_SHIFTS
     rng = random.Random(delta)
     xs = rng.sample(range(2 * c), c + delta)
     ys = xs if square else rng.sample(range(3 * c), c + 7)
     a = _bits(xs)
     b = a if square else _bits(ys)
-    with mock.patch.object(
+    # the crossover sits one above the cheaper operand's shift-or count,
+    # or on it: runs can take that count below the popcount
+    crossover = min(_shift_ors(a), _shift_ors(b)) - delta
+    spy = mock.patch.object(
         sumsets, "_conv_kronecker", wraps=sumsets._conv_kronecker
-    ) as kron:
-        got = _positions(sumsets._conv(a, b))
+    )
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_SHIFTS", crossover):
+        with spy as kron:
+            got = _positions(sumsets._conv(a, b))
     assert kron.called == (delta >= 0)
     # s is a sum iff s - x lies in ys for some x: the naive {x + y} set,
     # built sum by sum because there are about 17 million pairs
@@ -402,12 +420,85 @@ def test_conv_keeps_bits_lo_to_hi(kronecker, na, nb, seed, square, where, width)
         sumsets, "_conv_kronecker", wraps=sumsets._conv_kronecker
     )
     crossover = 1 if kronecker else 10**9
-    with mock.patch.object(sumsets, "_KRONECKER_MIN_POPCOUNT", crossover):
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_SHIFTS", crossover):
         with spy as kron:
             got = sumsets._conv(a, b, lo, hi)
     keep = (1 << hi + 1) - 1
     assert kron.called == (kronecker and bool(a & keep) and bool(b & keep))
     assert got == (full >> lo) & ((1 << hi - lo + 1) - 1)
+
+
+# -- run walks ---------------------------------------------------------------
+
+
+def _run_operand(rng: random.Random, g: int) -> set[int]:
+    """Residue classes mod g on a stretch, with holes and stray points."""
+    n, first = rng.randint(1, 400), rng.randint(0, 60)
+    classes = set(rng.sample(range(g), rng.randint(1, g)))
+    xs = {x for x in range(first, first + n) if x % g in classes}
+    xs -= set(rng.sample(sorted(xs), min(len(xs), rng.randint(0, 12))))
+    return xs | set(rng.sample(range(first + n + 1), rng.randint(0, 12)))
+
+
+def _unplan(plan: list[list[int]], g: int) -> set[int]:
+    """The points a plan covers: 2**k points of step g from each offset."""
+    return {p + j * g for k, ps in enumerate(plan) for p in ps for j in range(1 << k)}
+
+
+@given(
+    st.integers(1, 30),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.sampled_from(["whole", "inside", "above"]),
+    st.integers(0, 300),
+)
+@settings(max_examples=150, deadline=None)
+def test_conv_walks_runs_like_naive_sums(g, seed, square, cut, width):
+    rng = random.Random(seed)
+    xs = _run_operand(rng, g)
+    ys = xs if square else _run_operand(rng, g)
+    a = _bits(xs)
+    b = a if square else _bits(ys)
+    sums = pair_sums(xs, ys)
+    top = max(sums, default=0)
+    lo = {"whole": 0, "inside": rng.randint(0, top), "above": top + 1 + width}[cut]
+    hi = None if cut == "whole" else lo + width
+    # every operand listed as runs, and the shift-or kernel throughout
+    with mock.patch.object(sumsets, "_RUN_MIN_POPCOUNT", 1):
+        for bits in (a, b):
+            shifts, plan = sumsets._plan(bits, g)
+            if plan is not None:
+                assert _unplan(plan, g) == _positions(bits)
+                assert shifts == sum(map(len, plan)) + len(plan) - 1
+        with mock.patch.object(sumsets, "_KRONECKER_MIN_SHIFTS", 10**9):
+            got = sumsets._conv(a, b, lo, hi, g)
+    assert _positions(got) == {
+        v - lo for v in sums if v >= lo and (hi is None or v <= hi)
+    }
+
+
+def test_plan_doubles_each_run():
+    # step 5: a run of 13 points from 2, a lone point at 100, a run of 4 from
+    # 101; 13 takes 8 points from 2 and from 2 + 5 * 5, 4 one offset
+    xs = [2 + 5 * j for j in range(13)] + [100] + [101 + 5 * j for j in range(4)]
+    with mock.patch.object(sumsets, "_RUN_MIN_POPCOUNT", 1):
+        shifts, plan = sumsets._plan(_bits(xs), 5)
+    assert plan == [[100], [], [101], [2, 27]]
+    assert shifts == 4 + 3
+    # one run per set bit, or a small operand: walked bit by bit
+    assert sumsets._plan(_bits(range(0, 400, 2)), 1) == (200, None)
+    assert sumsets._plan(_bits(range(0, 60)), 1) == (60, None)
+
+
+def test_period_reads_the_moduli():
+    s = union(congruence(4, (1,)), finite([0, 7]))
+    assert sumsets._period(s, 100) == 4
+    assert sumsets._period(Affine(-1, 3, union(s, congruence(6, (5,)))), 100) == 12
+    # a dilation is an intersection with a congruence
+    assert sumsets._period(scale_set(half_tail(-5), 3), 100) == 3
+    assert sumsets._period(finite([1, 5, 9]), 100) == 1
+    # a period past the span walks in steps of 1
+    assert sumsets._period(congruence(999_983, (5,)), 10**5) == 1
 
 
 @given(
@@ -475,7 +566,7 @@ def _fold_windows(s, h):
 def test_windowed_cut_folds_match_oracle(s, h, crossover):
     # crossover 1 and 3 square with Kronecker products; 4096 adds one
     # summand at a time with the shift-or loop
-    with mock.patch.object(sumsets, "_KRONECKER_MIN_POPCOUNT", crossover):
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_SHIFTS", crossover):
         for win in _fold_windows(s, h):
             r = max(win.radius, _FOLD_R)
             got = windowed_hfold_sum(s, h, win, r)
@@ -487,17 +578,18 @@ def test_windowed_cut_folds_match_oracle(s, h, crossover):
 def test_fold_order_follows_the_crossover(h, squaring):
     xs = [0, 3, 7, 12, 13]
     base = _bits(xs)
-    # (h - 1) * popcount is at most 35: a crossover of 1 squares, 4096 not
+    # (h - 1) times the base's shift-or count, its popcount of 5, is at
+    # most 35: a crossover of 1 squares, 4096 not
     crossover = 1 if squaring else 4096
     calls = []
     conv = sumsets._conv
 
-    def spy(a, b, lo=0, hi=None):
+    def spy(a, b, lo=0, hi=None, g=1):
         calls.append((a, b))
-        return conv(a, b, lo, hi)
+        return conv(a, b, lo, hi, g)
 
     win = Window(0, 13 * h)
-    with mock.patch.object(sumsets, "_KRONECKER_MIN_POPCOUNT", crossover):
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_SHIFTS", crossover):
         with mock.patch.object(sumsets, "_conv", spy):
             got = windowed_hfold_sum(finite(xs), h, win, win.radius)
     assert set(got.members) == fold_values(xs, h)
@@ -508,6 +600,43 @@ def test_fold_order_follows_the_crossover(h, squaring):
     else:
         assert len(calls) == h - 1
         assert all(base in (a, b) for a, b in calls)
+
+
+# periodic terms, a term whose period passes the span, and dilated tails
+_PERIODIC_SETS = [
+    union(congruence(7, (1, 4)), finite([-40, -3, 9, 15, 22, 58])),
+    union(congruence(30, (0, 7, 11, 29)), finite(range(-50, 50, 13))),
+    union(congruence(999_983, (5, 17)), finite([-20, 3, 44])),
+    scale_set(half_tail(-5), 3),
+    scale_set(tail(2, 4), 6),
+    union(scale_set(half_tail(10), 4), finite([-7, -1])),
+]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("s", _PERIODIC_SETS, ids=str)
+def test_windowed_periodic_folds_match_oracle(s, h):
+    for win in (Window(-60, 60), Window(100, 180), Window(-290, -200)):
+        got = windowed_hfold_sum(s, h, win, 300)
+        assert list(got.members) == sorted(windowed_fold(s, h, win, 300)), win
+
+
+def test_periodic_dense_fold_makes_no_kronecker_product():
+    # a congruence and 32 points outside it, on a 4e4 window: the base's
+    # classes mod 7 are a few long runs, so no product needs Kronecker
+    rng = random.Random(7)
+    pool = [x for x in range(-600, 601) if x % 7 not in (1, 4)]
+    s = union(congruence(7, (1, 4)), finite(rng.sample(pool, 32)))
+    win = Window(-20_000, 20_000)
+    r = default_radius(win, 2)
+    with mock.patch.object(
+        sumsets, "_conv_kronecker", wraps=sumsets._conv_kronecker
+    ) as kron:
+        got = windowed_hfold_sum(s, 2, win, r)
+    assert not kron.called
+    # Kronecker products, forced, give the same sums
+    with mock.patch.object(sumsets, "_KRONECKER_MIN_SHIFTS", 1):
+        assert windowed_hfold_sum(s, 2, win, r) == got
 
 
 def test_query_bisects_members():
@@ -613,6 +742,38 @@ def test_hfold_product_caps_the_window_before_trial_division(monkeypatch):
     assert calls == []
 
 
+_avoiding_zero = st.one_of(
+    st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=6).map(finite),
+    st.lists(st.integers(-9, 9), max_size=3).map(lambda xs: cofinite([0, *xs])),
+    st.sampled_from(
+        [
+            congruence(5, (1, 4)),
+            congruence(6, (2, 3, 5)),
+            union(half_tail(3), finite([-2])),
+            union(down_tail(-4), finite([1, 7])),
+        ]
+    ),
+)
+
+
+@given(_avoiding_zero, st.integers(1, 4), st.integers(-90, 90), st.integers(0, 40))
+@settings(max_examples=120, deadline=None)
+def test_hfold_product_matches_trial_division(s, h, lo, width):
+    win = Window(lo, lo + width)
+    got = hfold_product(s, h, win)
+    assert list(got.members) == sorted(product_values(s, h, win))
+    assert got.complete
+
+
+def test_hfold_product_cost_follows_the_products():
+    # the largest admitted window around 0, and three products in it
+    win = Window(-(10**6) + 1, 10**6)
+    assert win.size == MATERIALIZE_CAP
+    start = time.perf_counter()
+    assert hfold_product(finite([2, 3]), 2, win).members == (4, 6, 9)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("v", [0, 1, -1, 2, 12, -36, 97, 360, -1001])
 def test_signed_divisors_by_exhaustion(v):
     expected = [d for d in range(-abs(v), abs(v) + 1) if d and v % d == 0]
@@ -634,8 +795,9 @@ def test_mult_folds_trial_divide_each_value_once(monkeypatch):
     assert representation_count(cofinite([0]), 4, 720720, mode="mult").count
     assert seen and max(seen.values()) == 1
     seen.clear()
+    # products are enumerated from the set's members, never trial-divided
     hfold_product(cofinite([0, 1, -1]), 4, Window(-300, 300))
-    assert seen and max(seen.values()) == 1
+    assert not seen
 
 
 _nonzero = st.integers(-12, 12).filter(bool)
