@@ -15,7 +15,6 @@ negative one first on ties), read off a window mask by `spiral_first`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
 
 from .errors import InputError, InvariantError
 from .families import ExplicitFamily, Family, ProductFamily, ScaledFamily
@@ -25,11 +24,11 @@ from .symbolic import (
     Empty,
     IntSet,
     Window,
-    bit_flags,
     check_cap,
     congruence,
     contains,
     is_subset,
+    mask_members,
     max_element,
     min_element,
     normalize,
@@ -241,10 +240,9 @@ def _with_certificate(
     got = window_mask(lhs, win)
     cbits = window_bits(cset, win.lo, win.hi)
     if got & ~cbits:
-        stray = [x for x in lhs.members if not cbits >> (x - win.lo) & 1]
         raise InvariantError(
             f"sumset members escape the intersection certificate {tag}: "
-            f"{stray[:5]}"
+            f"{mask_members(got & ~cbits, win.lo)[:5]}"
         )
     x = spiral_first(cbits & ~got, win.lo)
     if x is not None:
@@ -296,7 +294,7 @@ def truncated_layer_fold(
             r = default_radius(window, h, family.layer_reach(q))
         res = symbolic_hfold_sum(family.layer(q), h, window, max(r, window.radius))
         acc &= window_mask(res, window)
-    return set(compress(range(window.lo, window.hi + 1), bit_flags(acc)))
+    return set(mask_members(acc, window.lo))
 
 
 def _empirical(family: Family, h: int, cfg: HConfig) -> Outcome:

@@ -14,7 +14,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from inspect import signature
-from itertools import compress
 
 from .errors import CapError, ConstructionError, InputError
 from .symbolic import (
@@ -25,7 +24,6 @@ from .symbolic import (
     IntSet,
     Window,
     affine,
-    bit_flags,
     bounds,
     check_cap,
     co_interval_bounds,
@@ -34,6 +32,7 @@ from .symbolic import (
     half_tail,
     intersect,
     is_subset,
+    mask_members,
     normalize,
     scale_set,
     spiral_first,
@@ -324,7 +323,7 @@ class EnumerationFamily(Family):
                         f"complement enumeration exceeded |a| <= {self._SEARCH_CAP}"
                     )
                 r *= 4
-            pool = compress(range(-r, r + 1), bit_flags(gaps))
+            pool = mask_members(gaps, -r)
         return sorted(pool, key=spiral_key)[:n]
 
     def set_at(self, q: int) -> IntSet:

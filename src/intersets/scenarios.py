@@ -61,6 +61,7 @@ from .symbolic import (
     finite,
     intersect,
     is_subset,
+    mask_members,
     tail,
     union,
 )
@@ -457,8 +458,7 @@ def _run_cofinite_basis(opts: ScenarioOptions) -> ScenarioResult:
             if getattr(res, "set", None) != ALL:
                 not_all.append((excl, h))
         brute = windowed_hfold_sum(s, 2, win, opts.gen_radius or default_radius(win, 2))
-        present = set(brute.members)
-        missing = [x for x in range(win.lo, win.hi + 1) if x not in present]
+        missing = mask_members(((1 << win.size) - 1) & ~brute.bits, win.lo)
         if missing:
             uncovered.append((excl, missing[0]))
     run.check(

@@ -52,16 +52,15 @@ congruence, OR and AND for unions and intersections), never from a list
 of members; `symbolic.materialize` decodes the same int, so both read one
 membership implementation.  Its empty span below the smallest member is
 shifted off before folding, so every fold covers only the span the set
-occupies, and the window is read back from the last cut fold in one pass
-over its binary string.  This path needs only the standard library.
+occupies, and the last cut fold, shifted into window position, is the
+result's `bits`: nothing is listed until its `members` are read, and
+`symbolic.mask_members` is the one decoder of set bits.  This path needs
+only the standard library.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from bisect import bisect_left
-from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -76,7 +75,6 @@ from decimal import (
     Rounded,
 )
 from functools import lru_cache
-from itertools import compress
 
 from .errors import CapError, DomainError, NoClosedForm
 from .symbolic import (
@@ -104,6 +102,7 @@ from .symbolic import (
     down_tail,
     half_tail,
     is_infinite,
+    mask_members,
     materialize,
     min_element,
     max_element,
@@ -113,6 +112,7 @@ from .symbolic import (
     spiral_first,
     union,
     window_bits,
+    _bits_at,
     _divisors,
 )
 
@@ -138,16 +138,22 @@ class Closed:
 class Windowed:
     """Sumset enumerated within a window.
 
-    `members` lists exactly the sums of h elements drawn from the set's
-    materialization on [-generation_radius, generation_radius] that land in
-    the window.  `complete` is True only when a bound argument shows no
-    window member of the true sumset can be missing.
+    Bit i of `bits` marks window.lo + i, and the set bits are exactly the
+    sums of h elements drawn from the set's materialization on
+    [-generation_radius, generation_radius] that land in the window.
+    `complete` is True only when a bound argument shows no window member
+    of the true sumset can be missing.
     """
 
     window: Window
-    members: tuple[int, ...]
+    bits: int
     generation_radius: int
     complete: bool
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The sums in the window, ascending, decoded from `bits`."""
+        return tuple(mask_members(self.bits, self.window.lo))
 
 
 SumsetResult = Closed | Windowed
@@ -159,8 +165,7 @@ def query(result: SumsetResult, x: int) -> Membership3:
         return IN if contains(result.set, x) else OUT
     if not result.window.lo <= x <= result.window.hi:
         raise DomainError(f"{x} lies outside the evaluated window")
-    i = bisect_left(result.members, x)
-    if i < len(result.members) and result.members[i] == x:
+    if result.bits >> (x - result.window.lo) & 1:
         return IN
     return OUT if result.complete else out_up_to(result.generation_radius)
 
@@ -168,9 +173,7 @@ def query(result: SumsetResult, x: int) -> Membership3:
 def members_in(result: SumsetResult, window: Window) -> set[int]:
     if isinstance(result, Closed):
         return set(materialize(result.set, window))
-    if result.window.lo > window.lo or result.window.hi < window.hi:
-        raise DomainError("requested window exceeds the evaluated window")
-    return {x for x in result.members if window.lo <= x <= window.hi}
+    return set(mask_members(window_mask(result, window), window.lo))
 
 
 def window_mask(result: SumsetResult, window: Window) -> int:
@@ -178,15 +181,14 @@ def window_mask(result: SumsetResult, window: Window) -> int:
     marks window.lo + i, with the same cap and window checks.
 
     A closed form is read through `window_bits`; a windowed result's
-    sorted members are bisected to the window.
+    `bits` are shifted to the window and cut to its size, listing nothing.
     """
     if isinstance(result, Closed):
         check_cap(window)
         return window_bits(result.set, window.lo, window.hi)
     if result.window.lo > window.lo or result.window.hi < window.hi:
         raise DomainError("requested window exceeds the evaluated window")
-    # members are sorted and distinct, which is a Finite's normal form
-    return window_bits(Finite(result.members), window.lo, window.hi)
+    return result.bits >> (window.lo - result.window.lo) & (1 << window.size) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +383,6 @@ _EXACT = Context(
     traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
 )
 _NONZERO_DIGIT = str.maketrans("23456789", "11111111")
-_ONE = re.compile("1")
-_BIN_FLAG = bytes.maketrans(b"01b", b"\x00\x01\x00")
 
 
 def _period(s: IntSet, span: int) -> int:
@@ -401,18 +401,6 @@ def _period(s: IntSet, span: int) -> int:
         elif isinstance(t, Affine):
             stack.append(t.inner)
     return g
-
-
-def _offsets(bits: int, start: int = 0) -> Iterable[int]:
-    """start + i for each set bit i of bits, descending: a sparse int is
-    scanned for its ones, a dense one flags every digit."""
-    n = bits.bit_length()
-    # character i of bin(bits), "0b" and then the digits, marks bit n + 1 - i
-    top = start + n + 1
-    if 8 * bits.bit_count() >= n:
-        flags = bin(bits).encode().translate(_BIN_FLAG)
-        return compress(range(top, start - 2, -1), flags)
-    return [top - m.start() for m in _ONE.finditer(bin(bits))]
 
 
 def _plan(
@@ -439,7 +427,7 @@ def _plan(
     runs = firsts.bit_count()
     if 2 * runs >= popcount or runs >= limit:
         return popcount, None
-    firsts, lasts = _offsets(firsts), _offsets(bits & ~(bits >> g))
+    firsts, lasts = mask_members(firsts, 0), mask_members(bits & ~(bits >> g), 0)
     if g > 1:
         # a stable sort by residue keeps each class's runs in order, so the
         # i-th first and the i-th last point bound one run
@@ -491,7 +479,7 @@ def _conv(
     if plan is None:
         # every set bit is its own run: walked without the level loop,
         # whose bookkeeping costs products below the run floor about 5%
-        for p in _offsets(bits_a):
+        for p in mask_members(bits_a, 0):
             out |= bits_b << p
     else:
         for k in range(len(plan) - 1, -1, -1):
@@ -542,7 +530,7 @@ def windowed_hfold_sum(
     s = normalize(s)
     bits = window_bits(s, -r, r)
     if not bits:
-        return Windowed(window, (), r, isinstance(s, Empty))
+        return Windowed(window, 0, r, isinstance(s, Empty))
     # fold only the occupied span: bit k now marks v0 + k, where v0 is the
     # smallest member within the generation radius
     zeros = (bits & -bits).bit_length() - 1
@@ -552,7 +540,7 @@ def windowed_hfold_sum(
     # the window lies at offsets lo..hi from h * v0, and a sum of k
     # summands reaches it only from offsets lo - (h - k) * w .. hi
     lo, hi = window.lo - h * v0, window.hi - h * v0
-    members = ()
+    out = 0
     if hi >= 0 and lo <= h * w:
 
         def fold(x: tuple[int, int], y: tuple[int, int], k: int) -> tuple[int, int]:
@@ -588,8 +576,9 @@ def windowed_hfold_sum(
                     break
                 k *= 2
                 part = fold(part, part, k)
-        members = tuple(_offsets(acc[0], h * v0 + acc[1]))[::-1]
-    return Windowed(window, members, r, _complete(s, h, window, r))
+        # bit 0 of the last fold marks offset acc[1] >= lo, unless it is empty
+        out = acc[0] << acc[1] - lo if acc[0] else 0
+    return Windowed(window, out, r, _complete(s, h, window, r))
 
 
 def _complete(s: IntSet, h: int, window: Window, r: int) -> bool:
@@ -776,7 +765,8 @@ def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
         a_lo, a_hi = (b_lo, b_hi) if p > 0 else (-b_hi, -b_lo)
         if a_lo <= a_hi:
             members.update(p * a for a in materialize(s, Window(a_lo, a_hi)))
-    return Windowed(window, tuple(sorted(members)), window.radius, True)
+    offsets = [x - window.lo for x in members]
+    return Windowed(window, _bits_at(offsets, window.size), window.radius, True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ two forms of one set may differ.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 
 from .errors import CapError, DomainError
 
@@ -1061,7 +1062,7 @@ def materialize(s: IntSet, window: Window) -> list[int]:
     if isinstance(s, Finite):
         i, j = bisect_left(s.elements, lo), bisect_right(s.elements, hi)
         return list(s.elements[i:j])
-    return list(compress(range(lo, hi + 1), bit_flags(window_bits(s, lo, hi))))
+    return mask_members(window_bits(s, lo, hi), lo)
 
 
 def window_bits(s: IntSet, lo: int, hi: int) -> int:
@@ -1070,7 +1071,8 @@ def window_bits(s: IntSet, lo: int, hi: int) -> int:
     Built shape by shape from masks: only the listed points of a Finite or
     Cofinite are set one by one, and no cost grows with a congruence's
     modulus.  No cap is checked here; `materialize` checks it and decodes
-    this int with `bit_flags`.
+    this int with `mask_members`.  A windowed sumset result holds its
+    sums in the same layout.
     """
     if lo > hi or isinstance(s, Empty):
         return 0
@@ -1112,11 +1114,16 @@ def window_bits(s: IntSet, lo: int, hi: int) -> int:
 
 
 _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+_ONE = re.compile("1")
 
 
-def bit_flags(bits: int) -> bytes:
-    """Byte i is 1 when bit i of bits is set, else 0, from one bin() pass."""
-    return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
+def mask_members(bits: int, lo: int) -> list[int]:
+    """lo + i for each set bit i of bits, ascending, from one bin() pass:
+    a sparse int is scanned for its ones, a dense one flags every digit."""
+    digits = bin(bits)[:1:-1]  # digit i marks bit i
+    if 8 * bits.bit_count() >= len(digits):
+        return list(compress(count(lo), digits.encode().translate(_DIGIT_TO_FLAG)))
+    return [lo + m.start() for m in _ONE.finditer(digits)]
 
 
 def spiral_first(bits: int, lo: int) -> int | None:

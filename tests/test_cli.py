@@ -166,6 +166,34 @@ def test_sumset_windowed_members(capsys):
     assert [int(v) for v in lines[1:]] == [0, 1, 2, 3, 4, 6]
 
 
+# 30 squares: no rule closes a finite set of more than 24 points
+SQUARES = "finite:" + ",".join(str(x * x) for x in range(30))
+# the sums of two squares up to 40
+SQUARE_SUMS = [0, 1, 2, 4, 5, 8, 9, 10, 13, 16, 17, 18, 20, 25, 26, 29, 32,
+               34, 36, 37, 40]
+
+
+def test_sumset_windowed_json(capsys):
+    assert main(["sumset", "--set", SQUARES, "--h", "2", "--window", "0:40",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == {
+        "kind": "windowed",
+        "window": {"lo": "0", "hi": "40"},
+        "members": [str(x) for x in SQUARE_SUMS],
+        "complete": True,
+        "generation_radius": "96",
+    }
+
+
+def test_sumset_windowed_text(capsys):
+    assert main(["sumset", "--set", SQUARES, "--h", "2",
+                 "--window", "0:40"]) == 0
+    assert capsys.readouterr().out == "x\n" + "".join(
+        f"{x}\n" for x in SQUARE_SUMS
+    )
+
+
 def test_sumset_no_closed_form_hint(capsys):
     # lazy intersections have no sum rule and no window was given
     assert main(["sumset", "--set", "all", "--h", "0"]) == 2
@@ -216,7 +244,7 @@ def test_invariant_failure_exit_code(tmp_path, monkeypatch, capsys):
 
     def every_point(s, h, window=None, gen_radius=None):
         # a broken fold: claims every window point as an h-fold sum
-        return Windowed(window, tuple(range(window.lo, window.hi + 1)), 0, False)
+        return Windowed(window, (1 << window.size) - 1, 0, False)
 
     monkeypatch.setattr(analyzer, "symbolic_hfold_sum", every_point)
     # the half-tail certificate for h = 2 is {0, 1, 2}, so the fold escapes it

@@ -1,5 +1,6 @@
 """Every registered verification scenario passes at its default settings."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -126,3 +127,20 @@ def test_vector_min_samples_match_randint(seed):
     # the golden JSON shows no sample, so only this catches a changed stream
     got = list(scenarios._vector_min_samples(seed, 10_000))
     assert got == vector_min_samples(seed, 10_000)
+
+
+def test_cofinite_basis_names_the_first_uncovered_point(monkeypatch):
+    honest = scenarios.windowed_hfold_sum
+
+    def holed(s, h, window, gen_radius):
+        # an enumeration that misses the window points -17 and -13
+        r = honest(s, h, window, gen_radius)
+        return dataclasses.replace(r, bits=r.bits & ~(1 << 3 | 1 << 7))
+
+    monkeypatch.setattr(scenarios, "windowed_hfold_sum", holed)
+    res = run_scenario("cofinite-basis", ScenarioOptions(samples=5))
+    assert [a.passed for a in res.assertions] == [True, False, True]
+    assert res.assertions[1].detail == (
+        "([9, 13, -2, -14], -17), ([15, 1, 0], -17), ([14, 10, 11, -6], -17), "
+        "([-4, 3, 13, 14], -17) (+1 more)"
+    )

@@ -437,7 +437,8 @@ def _run_operand(rng: random.Random, g: int) -> set[int]:
     classes = set(rng.sample(range(g), rng.randint(1, g)))
     xs = {x for x in range(first, first + n) if x % g in classes}
     xs -= set(rng.sample(sorted(xs), min(len(xs), rng.randint(0, 12))))
-    return xs | set(rng.sample(range(first + n + 1), rng.randint(0, 12)))
+    top = first + n + 1
+    return xs | set(rng.sample(range(top), min(top, rng.randint(0, 12))))
 
 
 def _unplan(plan: list[list[int]], g: int) -> set[int]:
@@ -637,6 +638,28 @@ def test_periodic_dense_fold_makes_no_kronecker_product():
     # Kronecker products, forced, give the same sums
     with mock.patch.object(sumsets, "_KRONECKER_MIN_SHIFTS", 1):
         assert windowed_hfold_sum(s, 2, win, r) == got
+
+
+def test_windowed_result_is_read_without_listing_members():
+    # a finite set of 200 points spread over a 4e4-point window closes by
+    # no rule; its 2-fold sum is kept as the window mask of the last fold
+    rng = random.Random(7)
+    xs = rng.sample(range(-20_000, 20_000), 200)
+    win = Window(-20_000, 19_999)
+    r = windowed_hfold_sum(finite(xs), 2, win, default_radius(win, 2))
+    assert r.bits >> r.window.size == 0
+    sums = {x for x in pair_sums(xs, xs) if win.lo <= x <= win.hi}
+    points = [rng.choice(sorted(sums)) for _ in range(24)]
+    points += [rng.randint(win.lo, win.hi) for _ in range(24)]
+    sub = Window(-1_234, 5_678)
+    with mock.patch.object(
+        sumsets, "mask_members", wraps=sumsets.mask_members
+    ) as decode:
+        answers = [query(r, x) for x in points]
+        got = window_mask(r, sub)
+    assert not decode.called
+    assert answers == [IN if x in sums else OUT for x in points]
+    assert got == sum(1 << x - sub.lo for x in sums if sub.lo <= x <= sub.hi)
 
 
 def test_query_bisects_members():

@@ -47,6 +47,7 @@ from intersets.symbolic import (
     _primitive_congruence,
     co_interval_bounds,
     count_in_interval,
+    mask_members,
     spiral_first,
     spiral_key,
     window_bits,
@@ -547,6 +548,36 @@ def test_window_bits_lists_materialize(s, lo, width):
     got = [lo + i for i in range(width + 1) if bits >> i & 1]
     assert got == members(s, Window(lo, hi))
     assert materialize(s, Window(lo, hi)) == got
+
+
+@st.composite
+def _switch_masks(draw):
+    """A mask whose popcount k sits next to the decoder's density switch,
+    8k = bit_length +- 1: the top bit and k - 1 bits below it."""
+    k = draw(st.integers(1, 40))
+    n = 8 * k + draw(st.sampled_from((-1, 1)))
+    below = draw(st.sets(st.integers(0, n - 2), min_size=k - 1, max_size=k - 1))
+    return sum(1 << i for i in below) | 1 << n - 1
+
+
+@given(
+    st.one_of(
+        st.just(0),
+        st.integers(0, 400).map(lambda i: 1 << i),
+        st.integers(1, 400).map(lambda n: (1 << n) - 1),
+        _switch_masks(),
+        st.integers(0, 1 << 400),
+    ),
+    st.integers(-(10**6), 10**6),
+)
+@example(0, -5)
+@example((1 << 16) | 1, -3)  # 8 * 2 = 17 - 1: sparse
+@example((1 << 14) | 1, -3)  # 8 * 2 = 15 + 1: dense
+@settings(max_examples=300)
+def test_mask_members_matches_a_bit_scan(bits, lo):
+    assert mask_members(bits, lo) == [
+        lo + i for i in range(bits.bit_length()) if bits >> i & 1
+    ]
 
 
 def test_window_bits_ignores_the_modulus_size():
