@@ -548,9 +548,9 @@ def pullback_check(
     """
     if m < 2:
         raise InputError(f"modulus must be >= 2, got {m}")
-    if hasattr(layers, "__iter__") and all(
-        isinstance(x, int) for x in layers
-    ):
+    # a generator is read once, so list it before testing for a flat list
+    layers = list(layers)
+    if all(isinstance(x, int) for x in layers):
         layers = [layers]
     chain = [frozenset(x % m for x in layer) for layer in layers]
     if not chain or any(not layer for layer in chain):

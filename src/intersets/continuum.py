@@ -7,11 +7,17 @@ an h-fold sum splits into a base point plus a perturbation chosen
 independently, so layer folds are computed as (sums of h base points)
 plus (sums of h perturbations) instead of tuples over the full point set.
 
-Interval families use a common denominator too: D = lcm(1..Q) times the
-lcm of the base points' denominators, so every layer endpoint b +- 1/q is
+Interval families use a common denominator too: D = Q times the lcm of
+the base points' denominators, so every endpoint b +- 1/Q of layer Q is
 an integer over D.  One set of interval helpers (merge, intersect,
 Minkowski sum) serves both the integer verifier and the Fraction
 `IntervalUnion` API; Fractions appear only in reports.
+
+Both families decrease: layer q + 1 lies inside layer q, since its
+perturbations 1/r run over r >= q + 1 and its intervals b +- 1/(q+1) are
+narrower.  h-fold sums of nested sets nest too, so the depth-Q
+intersection of the layer folds is the fold of layer Q alone, and each
+verifier folds that one layer.
 """
 
 from __future__ import annotations
@@ -20,10 +26,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations_with_replacement
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, InvariantError
 
 Interval = tuple[Fraction, Fraction]
 
@@ -118,20 +123,6 @@ def _fold_values(values, h: int) -> set:
     return {sum(c) for c in combinations_with_replacement(sorted(values), h)}
 
 
-def _nested_folds(
-    h: int, Q: int, r_max: int, denom: int, with_zero: bool
-) -> set[int] | None:
-    """F_Q, the h-fold sums of layer Q's offsets, when every F_q lies
-    inside F_{q-1}; None at the first layer whose fold set does not."""
-    prev: set[int] | None = None
-    for q in range(1, Q + 1):
-        folds = _fold_values(_perturbation_offsets(q, r_max, denom, with_zero), h)
-        if prev is not None and not folds <= prev:
-            return None
-        prev = folds
-    return prev
-
-
 def _window_points(folds, base_scaled, lo_s: int, hi_s: int) -> set[int]:
     """Every sv + f inside [lo_s, hi_s], bisecting the sorted folds per sv."""
     folds = sorted(folds)
@@ -204,12 +195,9 @@ def verify_rational_theorem(
     to the integer bounds ceil(lo*D) and floor(hi*D), each layer's fold
     values are sorted and bisected per base sum, and a distance d/D is
     tested against h/Q as d*Q > h*D.  Layer q is the base sums plus F_q,
-    the h-fold sums of its perturbations, so the fold sets are compared
-    first: when each F_q lies inside F_{q-1}, the layers nest and only the
-    deepest layer's window points are built.  Otherwise every layer's
-    points are built and checked against the layer before, and the
-    intersection takes set intersections from the first layer that is not
-    inside its predecessor.
+    the h-fold sums of its perturbations.  Each layer's offsets hold the
+    next one's, so the layers nest and only layer Q's window points are
+    built; offsets that fail to nest raise InvariantError.
     """
     if h < 2:
         raise InputError(f"h must be >= 2, got {h}")
@@ -231,23 +219,18 @@ def verify_rational_theorem(
     base = _base_sums(family.points, h, lo - h, hi + h)
     base_scaled = [int(s) * denom for s in base]
 
-    # layer q is the union of sv + F_q over the base sums, so nested fold
-    # sets nest the layers and their intersection is layer Q
-    deepest = _nested_folds(h, Q, r_max, denom, family.include_base)
-    monotone = True
-    if deepest is not None:
-        intersection = _window_points(deepest, base_scaled, lo_s, hi_s)
-    else:
-        intersection = prev = None
-        for q in range(1, Q + 1):
-            offsets = _perturbation_offsets(q, r_max, denom, family.include_base)
-            layer = _window_points(_fold_values(offsets, h), base_scaled, lo_s, hi_s)
-            if prev is not None and not layer <= prev:
-                monotone = False
-            prev = layer
-            # A <= B gives A & B == A, so nested layers need no intersection
-            intersection = layer if monotone else intersection & layer
-        assert intersection is not None
+    # layer q is the union of sv + F_q over the base sums, so nested
+    # offsets nest the layers and their intersection is layer Q
+    offsets = [
+        set(_perturbation_offsets(q, r_max, denom, family.include_base))
+        for q in range(1, Q + 1)
+    ]
+    monotone = all(outer >= inner for outer, inner in zip(offsets, offsets[1:]))
+    if not monotone:
+        raise InvariantError("perturbation offsets do not nest across the layers")
+    intersection = _window_points(
+        _fold_values(offsets[-1], h), base_scaled, lo_s, hi_s
+    )
 
     in_window = [s for s in base_scaled if lo_s <= s <= hi_s]
     missing = [s for s in in_window if s not in intersection]
@@ -426,15 +409,16 @@ def verify_open_theorem(
 ) -> OpenTheoremReport:
     """Exact interval engine check of the punctured and full variants.
 
-    For h >= 2 the depth-Q intersection of layer folds must be a union of
-    intervals each containing one sum of h base points and staying within
-    h/Q of it; at h = 1 the same data shows the punctured layers closing
-    in on the (absent) base points.  The full-interval variant must keep
-    every base sum at every h.
+    For h >= 2 the depth-Q intersection of layer folds, which is the fold
+    of layer Q since the layers nest, must be a union of intervals each
+    containing one sum of h base points and staying within h/Q of it; at
+    h = 1 the same data shows the punctured layers closing in on the
+    (absent) base points.  The full-interval variant must keep every base
+    sum at every h.
 
-    All arithmetic is integer on the common denominator D = lcm(1..Q)
-    times the lcm of the base points' denominators, so layer q is the int
-    pairs (bD - D/q, bD) and (bD, bD + D/q), or (bD - D/q, bD + D/q)
+    All arithmetic is integer on the common denominator D = Q times the
+    lcm of the base points' denominators, so layer Q is the int pairs
+    (bD - D/Q, bD) and (bD, bD + D/Q), or (bD - D/Q, bD + D/Q)
     unpunctured, and the bound h/Q is h*D/Q.  Endpoints and base sums are
     integers, so the window is compared through the integers next to
     lo*D and hi*D.  Endpoints become Fractions only in the report.
@@ -448,12 +432,11 @@ def verify_open_theorem(
     if lo >= hi:
         raise InputError(f"empty value window ({lo}, {hi})")
 
-    denom = math.lcm(*range(1, Q + 1)) * math.lcm(*(b.denominator for b in pts))
+    denom = Q * math.lcm(*(b.denominator for b in pts))
     scaled = [int(b * denom) for b in pts]
 
     def depth_q(punctured: bool) -> tuple:
-        layers = (_layer(scaled, denom // q, punctured) for q in range(1, Q + 1))
-        return reduce(_intersect, (_hfold(layer, h) for layer in layers))
+        return _hfold(_layer(scaled, denom // Q, punctured), h)
 
     trunc, primed = depth_q(True), depth_q(False)
 

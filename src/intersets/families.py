@@ -251,34 +251,30 @@ class CosetTailFamily(Family):
                 f"{coset_base} lies in {subgroup_step}Z; the tail must come "
                 f"from a proper coset"
             )
-        self.d = subgroup_step
-        self.x = coset_base
+        self.subgroup_step = subgroup_step
+        self.coset_base = coset_base
 
     def set_at(self, q: int) -> IntSet:
         self._check_q(q)
+        d, x = self.subgroup_step, self.coset_base
         return union(
-            congruence(self.d, (0,)),
-            intersect(
-                congruence(self.d, (self.x % self.d,)),
-                half_tail(self.x + self.d * q),
-            ),
+            congruence(d, (0,)),
+            intersect(congruence(d, (x % d,)), half_tail(x + d * q)),
         )
 
     def intersection(self) -> IntSet:
-        return congruence(self.d, (0,))
+        return congruence(self.subgroup_step, (0,))
 
     def certificate(self, h: int) -> TailCertificate | None:
         # sums using j coset elements fill the full class j*x + dZ for
         # j < h (the subgroup part is unbounded below, erasing the tail
         # threshold); the all-coset term j = h recedes with q
-        residues = {(j * self.x) % self.d for j in range(h)}
-        return TailCertificate(h, congruence(self.d, residues), "subgroup")
+        d, x = self.subgroup_step, self.coset_base
+        residues = {(j * x) % d for j in range(h)}
+        return TailCertificate(h, congruence(d, residues), "subgroup")
 
     def layer_reach(self, q: int) -> int:
-        return abs(self.x) + self.d * q
-
-    def params(self) -> dict:
-        return {"subgroup_step": self.d, "coset_base": self.x}
+        return abs(self.coset_base) + self.subgroup_step * q
 
 
 class EnumerationFamily(Family):

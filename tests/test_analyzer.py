@@ -155,6 +155,14 @@ def test_unclosed_certificate_falls_back_to_layer_folds(fam, h2):
     assert compute_H(fam, 2).statuses == (CERTIFIED_IN, h2)
 
 
+def test_half_tail_of_a_class_core_is_uncertified():
+    # 3Z is unbounded below, so no closed certificate exists and the layer
+    # folds cannot decide h >= 2 either
+    fam = HalfTailFamily(congruence(3, [0]))
+    assert fam.certificate(2) is None
+    assert compute_H(fam, 3).statuses == (CERTIFIED_IN, UNDETERMINED, UNDETERMINED)
+
+
 def test_compute_H_gates():
     with pytest.raises(InputError):
         compute_H(TailFamily(EMPTY), 0)
@@ -399,6 +407,13 @@ def test_pullback_frozen():
     assert rep.h_in_group == (True, True, True)
     assert rep.h_in_integers == (True, True, True)
     assert all(c.symbolic_equal and c.window_equal for c in rep.fold_checks)
+
+
+def test_pullback_reads_every_layer_of_a_generator():
+    layers = [(0, 1, 2, 3), (0, 2)]
+    rep = pullback_check(6, (layer for layer in layers), 3)
+    assert rep.fold_checks == pullback_check(6, layers, 3).fold_checks
+    assert {c.residues for c in rep.fold_checks} == set(layers)
 
 
 def test_pullback_gates():

@@ -84,6 +84,21 @@ def test_verify_json(capsys):
     assert all(a["passed"] for a in doc["assertions"])
 
 
+def test_verify_tsv(capsys):
+    assert main(["verify", "countable", "--hmax", "3", "--format", "tsv"]) == 0
+    rows = [
+        ("H = {1} with certified exits", "witnesses [-1, -1]"),
+        ("witnesses re-verify independently",
+         "certificate membership and certified absence"),
+    ]
+    expected = ["check\tstatus\tdetail"] + [
+        f"core {core}: {check}\tpass\t{detail}"
+        for core in ("[0, 1]", "[0, 2, 5]", "[-3, 0, 4]")
+        for check, detail in rows
+    ]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
 def test_verify_unknown_scenario():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "galaxies"])
@@ -146,6 +161,21 @@ def test_sumset_closed(capsys):
     assert json.loads(payload) == {"kind": "half-tail", "threshold": "6"}
 
 
+def test_sumset_closed_json_lists_window_members(capsys):
+    assert main(["sumset", "--set", "halftail:3", "--h", "2",
+                 "--window", "0:6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "h": "2",
+        "input": {"kind": "half-tail", "threshold": "3"},
+        "result": {
+            "kind": "closed",
+            "set": {"kind": "half-tail", "threshold": "6"},
+            "window": {"lo": "0", "hi": "6"},
+            "members": ["6"],
+        },
+    }
+
+
 def test_sumset_huge_modulus(capsys):
     assert main(["sumset", "--set", "congruence:1000000000000000000:5",
                  "--h", "2"]) == 0
@@ -199,6 +229,17 @@ def test_sumset_no_closed_form_hint(capsys):
     assert main(["sumset", "--set", "all", "--h", "0"]) == 2
 
 
+def test_sumset_without_closed_form_needs_a_window(capsys):
+    # 31 points: past the fold cap, so no rule closes the 2-fold sum
+    numbers = ",".join(str(x) for x in range(31))
+    assert main(["sumset", "--set", f"finite:{numbers}", "--h", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no closed form for this sumset; pass --window LO:HI to enumerate\n"
+    )
+
+
 def test_repfn_tsv_golden(capsys):
     assert main(["repfn", "--set", "finite:0,1,3", "--h", "2",
                  "--window", "0:6"]) == 0
@@ -213,6 +254,22 @@ def test_repfn_infinite(capsys):
                  "--target", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "4\tinf\tyes"
+
+
+def test_repfn_json(capsys):
+    # 2Z holds infinitely many pairs summing to 4; the count of 0 pairs
+    # summing to 3 is only a lower bound, since 2Z is unbounded both ways
+    assert main(["repfn", "--set", "congruence:2:0", "--h", "2",
+                 "--window", "3:4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "h": "2",
+        "mode": "add",
+        "input": {"kind": "congruence", "modulus": "2", "residues": ["0"]},
+        "counts": [
+            {"x": "3", "count": "0", "exact": False},
+            {"x": "4", "count": None, "exact": True},
+        ],
+    }
 
 
 def test_repfn_cap_exit_code(capsys):

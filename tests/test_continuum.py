@@ -10,6 +10,7 @@ from intersets import (
     ConstructionError,
     InputError,
     IntervalUnion,
+    InvariantError,
     RationalPerturbFamily,
     interval_layer,
     minkowski_hfold,
@@ -94,9 +95,9 @@ def test_rational_theorem_gates():
         verify_rational_theorem(fam, 2, 6, (18, 0))
 
 
-def _naive_rational(fam, h, Q, window, r_max, edit=None):
-    """The verifier's layer folds by plain Fraction filtering; edit(q, D,
-    offsets) may alter layer q's perturbation offsets."""
+def _naive_rational(fam, h, Q, window, r_max):
+    """Every one of the verifier's Q layer folds by plain Fraction
+    filtering, intersected."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     denom = math.lcm(*range(1, r_max + 1))
     lo_s, hi_s = lo * denom, hi * denom
@@ -106,8 +107,6 @@ def _naive_rational(fam, h, Q, window, r_max, edit=None):
     for q in range(1, Q + 1):
         offs = {denom // r for r in range(q, r_max + 1)}
         offs |= {-o for o in offs} | ({0} if fam.include_base else set())
-        if edit is not None:
-            offs = edit(q, denom, offs)
         folds = fold_values(offs, h)
         layer = {
             sv + f
@@ -163,6 +162,17 @@ def _count_window_points(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_rational_theorem_builds_only_the_deepest_layer(monkeypatch, h):
+    # the rational scenario's family: its layers nest, so one layer's
+    # window points are built, not Q
+    fam = RationalPerturbFamily(tuple(4 * n for n in range(1, 11)), r_max=25)
+    calls = _count_window_points(monkeypatch)
+    rep = verify_rational_theorem(fam, h, 10, (0, 40))
+    assert rep.ok and rep.monotone
+    assert len(calls) == 1
+
+
 def _edit_offsets(monkeypatch, edit):
     honest = continuum._perturbation_offsets
 
@@ -172,73 +182,35 @@ def _edit_offsets(monkeypatch, edit):
     monkeypatch.setattr(continuum, "_perturbation_offsets", offsets)
 
 
-@pytest.mark.parametrize("h", [2, 3])
-def test_rational_theorem_builds_only_the_deepest_layer(monkeypatch, h):
-    # the rational scenario's family: its fold sets nest, so one layer's
-    # window points are built, not Q
-    fam = RationalPerturbFamily(tuple(4 * n for n in range(1, 11)), r_max=25)
-    calls = _count_window_points(monkeypatch)
-    rep = verify_rational_theorem(fam, h, 10, (0, 40))
-    assert rep.ok and rep.monotone
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize(
-    "edit, monotone",
+    "edit",
     [
-        # layer Q - 1 loses 1/r_max, which layer Q keeps: only that pair of
-        # fold sets fails to nest, and so do those layers
-        (lambda q, d, offs: offs - {d // 14, -(d // 14)} if q == 4 else offs, False),
+        # layer Q - 1 loses 1/r_max, which layer Q keeps
+        lambda q, d, offs: offs - {d // 14, -(d // 14)} if q == 4 else offs,
         # layer Q gains an offset that takes every new sum past the window:
-        # its fold set does not nest but its layer does
-        (lambda q, d, offs: offs | {100 * d} if q == 5 else offs, True),
+        # its layer still nests inside the window, but its offsets do not
+        lambda q, d, offs: offs | {100 * d} if q == 5 else offs,
     ],
     ids=["middle-layer-drops", "far-offset"],
 )
-def test_rational_theorem_fold_sets_that_do_not_nest(monkeypatch, edit, monotone):
+def test_rational_theorem_fold_sets_that_do_not_nest(monkeypatch, edit):
     fam = RationalPerturbFamily((4, 8, 12, 16), r_max=14)
     _edit_offsets(monkeypatch, edit)
     calls = _count_window_points(monkeypatch)
-    rep = verify_rational_theorem(fam, 2, 5, (0, 40))
-    naive = _naive_rational(fam, 2, 5, (0, 40), 14, edit)
-    assert naive["monotone"] is monotone
-    assert {k: getattr(rep, k) for k in naive} == naive
-    assert len(calls) == 5
+    with pytest.raises(InvariantError, match="do not nest"):
+        verify_rational_theorem(fam, 2, 5, (0, 40))
+    # the refusal comes before any layer's window points are built
+    assert calls == []
 
 
 def test_rational_theorem_intersects_layers_that_do_not_nest(monkeypatch):
-    # the last layer also gets the perturbation 1/D, which no other layer
-    # has, so it is not inside its predecessor and the intersection must
-    # drop the points only it reaches
+    # layer Q gains the perturbation 1/D, which layer Q - 1 lacks, so layer
+    # Q alone is no longer the depth-Q intersection: the verifier refuses
+    # rather than report layer Q's fold as the intersection
     fam = RationalPerturbFamily((4, 8, 12, 16), r_max=14)
-    h, Q, lo, hi = 2, 5, 0, 40
-    denom = math.lcm(*range(1, 15))
-    honest = continuum._perturbation_offsets
-
-    def offsets(q, r_max, d, with_zero):
-        offs = honest(q, r_max, d, with_zero)
-        return sorted(offs + [1]) if q == Q else offs
-
-    monkeypatch.setattr(continuum, "_perturbation_offsets", offsets)
-    calls = _count_window_points(monkeypatch)
-    rep = verify_rational_theorem(fam, h, Q, (lo, hi))
-    # the fold sets do not nest, so every layer's window points are built
-    assert len(calls) == Q
-
-    base = [v * denom for v in fold_values(fam.points, h) if lo - h <= v <= hi + h]
-    layers = [
-        {
-            b + f
-            for b in base
-            for f in fold_values(offsets(q, 14, denom, False), h)
-            if lo * denom <= b + f <= hi * denom
-        }
-        for q in range(1, Q + 1)
-    ]
-    expected = set.intersection(*layers)
-    assert expected < layers[-1]
-    assert not rep.monotone
-    assert rep.intersection_size == len(expected)
+    _edit_offsets(monkeypatch, lambda q, d, offs: offs | {1} if q == 5 else offs)
+    with pytest.raises(InvariantError, match="do not nest"):
+        verify_rational_theorem(fam, 2, 5, (0, 40))
 
 
 # -- interval unions --------------------------------------------------------
@@ -334,6 +306,22 @@ def test_open_theorem_counts_centers_across_each_component():
     assert rep.components == ((Fraction(9), Fraction(27)),)
     assert not rep.all_centered and not rep.ok
     assert rep == open_theorem_reference((4, 8), 3, 1, window)
+
+
+@pytest.mark.parametrize("h, Q", [(1, 10), (2, 10), (3, 1)])
+def test_open_theorem_builds_only_the_deepest_layer(monkeypatch, h, Q):
+    # the layers nest, so layer Q is built once per variant, not Q times
+    honest = continuum._layer
+    calls = []
+
+    def counted(points, r, punctured):
+        calls.append((r, punctured))
+        return honest(points, r, punctured)
+
+    monkeypatch.setattr(continuum, "_layer", counted)
+    rep = verify_open_theorem((4, 8, 12), h, Q, (0, 18))
+    assert rep == open_theorem_reference((4, 8, 12), h, Q, (0, 18))
+    assert len(calls) == 2 and {p for _, p in calls} == {True, False}
 
 
 def test_open_theorem_h1_punctured():

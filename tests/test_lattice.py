@@ -1,5 +1,7 @@
 """Lattice sums in Z^d: boxes, folds, norm inequality, norm-tail layers."""
 
+from fractions import Fraction
+
 import pytest
 
 from intersets import (
@@ -176,6 +178,51 @@ def test_verify_lattice_theorem_frozen():
     assert rows == [(1, 3, 0), (2, 3, 0), (3, 4, 0)]
     assert all(c.equal_on_box and c.certified for c in rep.checks)
     assert all(c.mismatches == () for c in rep.checks)
+
+
+def _all_layer_trunc(family, h, Q, box):
+    """The box slice of the intersection over q = 1..Q of layer q's h-fold
+    sums, every layer folded on its own."""
+    folds = [
+        {v for v in lattice_fold(family.set_in_box(q, box), h) if box.contains(v)}
+        for q in range(1, Q + 1)
+    ]
+    return set.intersection(*folds)
+
+
+@pytest.mark.parametrize(
+    "core, m_star_sq, Q",
+    [
+        (((0, 0), (1, 1)), 2, 1),
+        (((0, 0), (1, 1)), 2, 3),
+        (((0, 1), (2, 0)), 4, 2),
+        (((1, 0), (0, 1), (1, 1)), Fraction(5, 2), 3),
+    ],
+)
+def test_verify_lattice_theorem_matches_all_layer_intersection(core, m_star_sq, Q):
+    fam = NormTailFamily(core, m_star_sq)
+    box = Box.cube(-2, 6, 2)
+    rep = verify_lattice_theorem(fam, 3, Q, box)
+    for check in rep.checks:
+        core_fold = {v for v in lattice_fold(core, check.h) if box.contains(v)}
+        trunc = _all_layer_trunc(fam, check.h, Q, box)
+        expected = tuple(x for x in box.points() if (x in core_fold) != (x in trunc))
+        assert check.mismatches == expected
+        assert check.equal_on_box == (not expected)
+
+
+def test_verify_lattice_theorem_materializes_one_layer(monkeypatch):
+    fam = NormTailFamily(((0, 0), (1, 1)), 2)
+    honest = fam.set_in_box
+    layers = []
+
+    def counted(q, box):
+        layers.append(q)
+        return honest(q, box)
+
+    monkeypatch.setattr(fam, "set_in_box", counted)
+    rep = verify_lattice_theorem(fam, 3, 5, Box.cube(-5, 5, 2), norm_sq_cap=25)
+    assert rep.ok and layers == [5]
 
 
 def test_verify_lattice_theorem_shallow():

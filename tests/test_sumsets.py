@@ -33,6 +33,7 @@ from intersets import sumsets
 from intersets.symbolic import IN, MATERIALIZE_CAP, OUT, out_up_to
 from intersets.sumsets import (
     Closed,
+    RepCount,
     Windowed,
     basis_order,
     default_radius,
@@ -54,6 +55,7 @@ from oracles import (
     rep_count,
     spiral,
     windowed_fold,
+    windowed_sum,
 )
 
 
@@ -177,6 +179,23 @@ def test_closed_fold_memo_reuses_folds(monkeypatch):
     calls.clear()
     assert symbolic_hfold_sum(s, 4) == first
     assert 0 < len(calls) < cold
+
+
+@pytest.mark.parametrize(
+    "ray, partner, expected",
+    [
+        # the partner is bounded on the ray's far side: the sums start at the
+        # ray's edge plus the partner's extreme member, and fill in beyond it
+        (half_tail(3), intersect(congruence(3, [0]), half_tail(6)), HalfTail(9)),
+        (down_tail(2), intersect(congruence(3, [0]), down_tail(-6)), down_tail(-4)),
+    ],
+    ids=["up", "down"],
+)
+def test_sum2_ray_plus_bounded_partner(ray, partner, expected):
+    got = sumsets.sum2(ray, partner)
+    assert got == expected
+    win = Window(-30, 30)
+    assert set(members(got, win)) == windowed_sum(ray, partner, win, 70)
 
 
 def test_sum2_finite_plus_ray_makes_no_shifts(monkeypatch):
@@ -703,6 +722,18 @@ def test_rep_count_matches_exhaustion(xs, h, x):
 def test_rep_count_infinite():
     r = representation_count(congruence(2, (0,)), 2, 4)
     assert r.is_infinite and r.count is None
+
+
+def test_rep_count_bounded_above_counts_the_mirror():
+    # down_tail(0) has no lower bound, so its count is read off the mirror
+    # [0, inf) at -x: the pairs (0, 5), (1, 4), ..., (5, 0)
+    assert representation_count(down_tail(0), 2, -5) == RepCount(6, exact=True)
+
+
+def test_rep_count_unbounded_both_ways_is_a_lower_bound():
+    # 2Z holds no pair summing to the odd 7; with no bound either way the
+    # count comes from a radius window and is only a lower bound
+    assert representation_count(congruence(2, [0]), 2, 7) == RepCount(0, exact=False)
 
 
 def test_rep_count_mult():
