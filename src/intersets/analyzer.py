@@ -278,21 +278,24 @@ def truncated_layer_fold(
 ) -> set[int]:
     """Window members of the depth-Q intersection of layer h-fold sums.
 
-    Windowed layers contribute sums of elements within the generation
-    radius only, so the result can undercount; closed layers are exact.
-    Each layer fold is read as a `window_mask`; the masks are ANDed and
-    only the intersection is decoded into a set.
+    Nested layers meet at the deepest one: a decreasing family's h-fold
+    sums decrease too, so only layer Q is folded; a chain that does not
+    nest folds every layer 1..Q and ANDs the window masks.  Windowed
+    layers contribute sums of elements within the generation radius only,
+    so the result can undercount; closed layers are exact.  With an
+    explicit gen_radius layer Q's fold equals the AND of all Q folds; with
+    per-layer radii it holds that AND and lies inside the exact fold.
     """
     if Q < 1:
         raise InputError(f"Q must be >= 1, got {Q}")
     if family.depth is not None:
         Q = min(Q, family.depth)
     acc = -1  # every bit set: the identity of AND
-    for q in range(1, Q + 1):
+    for q in range(Q if family.decreasing else 1, Q + 1):
         r = gen_radius
         if r is None:
             r = default_radius(window, h, family.layer_reach(q))
-        res = symbolic_hfold_sum(family.layer(q), h, window, max(r, window.radius))
+        res = symbolic_hfold_sum(family.set_at(q), h, window, max(r, window.radius))
         acc &= window_mask(res, window)
     return set(mask_members(acc, window.lo))
 

@@ -183,7 +183,6 @@ def verify_rational_theorem(
     h: int,
     Q: int,
     value_window: tuple,
-    r_max: int | None = None,
 ) -> RationalTheoremReport:
     """Truncated layer-fold intersection against sums of base points.
 
@@ -203,7 +202,7 @@ def verify_rational_theorem(
         raise InputError(f"h must be >= 2, got {h}")
     if not 2 * h < Q:
         raise InputError(f"the truncation depth must satisfy 2h < Q, got Q={Q}")
-    r_max = family.r_max if r_max is None else r_max
+    r_max = family.r_max
     if r_max < 2 * Q:
         raise InputError(
             f"r_max={r_max} cannot express the zero-sum perturbations; "

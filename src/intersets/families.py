@@ -1,18 +1,18 @@
 """Decreasing set families A_1 >= A_2 >= ... with a common intersection.
 
-Each family exposes its q-th layer, the exact intersection of all layers,
-and (where one is known) a closed-form certificate for the intersection of
-the layerwise h-fold sumsets.  Certificates are what lets the analyzer
-decide membership questions symbolically instead of empirically; they are
-data, not trust, and the test suite cross-validates each against truncated
-brute force.
+Every kind decreases but a hand-given explicit chain, whose `decreasing`
+says if its layers nest.  Each family exposes its q-th layer, the exact
+intersection of all layers, and (where one is known) a closed-form
+certificate for the intersection of the layerwise h-fold sumsets.
+Certificates are what lets the analyzer decide membership questions
+symbolically instead of empirically; they are data, not trust, and the
+test suite cross-validates each against truncated brute force.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from inspect import signature
 
 from .errors import CapError, ConstructionError, InputError
@@ -54,32 +54,23 @@ class TailCertificate:
 
 
 class Family(ABC):
-    """A decreasing chain of integer sets indexed by q = 1, 2, ...
+    """A chain of integer sets indexed by q = 1, 2, ...
 
     `kind` tags the family's JSON document and `fields` declares the
     document's other keys in order, each with its shape: "int", "ints",
     "set", "sets" or "family".  A field is optional where the constructor
-    has a default.
+    has a default.  `decreasing` is derived, never a field: only a
+    hand-given explicit chain, or a transform of one, can be False.
     """
 
     kind: str = "family"
     fields: dict[str, str] = {}
     depth: int | None = None  # None: the chain is infinite
+    decreasing: bool = True
 
     @abstractmethod
     def set_at(self, q: int) -> IntSet:
         """The q-th layer."""
-
-    @cached_property
-    def _layers(self) -> dict[int, IntSet]:
-        return {}
-
-    def layer(self, q: int) -> IntSet:
-        """The q-th layer, built by set_at on first use and kept after."""
-        layers = self._layers
-        if q not in layers:
-            layers[q] = self.set_at(q)
-        return layers[q]
 
     @abstractmethod
     def intersection(self) -> IntSet:
@@ -356,10 +347,11 @@ class AffineFamily(Family):
         self.unit = unit
         self.shift = shift
         self.inner = inner
-        self.depth = inner.depth
+        # an injective map keeps the layers' nesting, or its absence
+        self.depth, self.decreasing = inner.depth, inner.decreasing
 
     def set_at(self, q: int) -> IntSet:
-        return affine(self.unit, self.shift, self.inner.layer(q))
+        return affine(self.unit, self.shift, self.inner.set_at(q))
 
     def intersection(self) -> IntSet:
         return affine(self.unit, self.shift, self.inner.intersection())
@@ -398,10 +390,10 @@ class ScaledFamily(Family):
         _check_inner(inner)
         self.inner = inner
         self.factor = factor
-        self.depth = inner.depth
+        self.depth, self.decreasing = inner.depth, inner.decreasing
 
     def set_at(self, q: int) -> IntSet:
-        return scale_set(self.inner.layer(q), self.factor)
+        return scale_set(self.inner.set_at(q), self.factor)
 
     def intersection(self) -> IntSet:
         return scale_set(self.inner.intersection(), self.factor)
@@ -411,7 +403,7 @@ class ScaledFamily(Family):
 
 
 class ExplicitFamily(Family):
-    """A hand-given finite chain A_1, ..., A_Q (the index set is finite)."""
+    """A hand-given finite chain A_1, ..., A_Q; its layers need not nest."""
 
     kind = "explicit"
     fields = {"sets": "sets"}
@@ -422,6 +414,7 @@ class ExplicitFamily(Family):
             raise ConstructionError("at least one layer is required")
         self.sets = layers
         self.depth = len(layers)
+        self.decreasing = all(is_subset(b, a) for a, b in zip(layers, layers[1:]))
 
     def set_at(self, q: int) -> IntSet:
         self._check_q(q)
@@ -500,8 +493,9 @@ def classify_monotonicity(
     else:
         windows = tuple(Window(-r, r) for r in (16, 64, 256, 1024))
     checks = []
+    nxt = family.set_at(1)
     for q in range(1, depth + 1):
-        cur, nxt = family.layer(q), family.layer(q + 1)
+        cur, nxt = nxt, family.set_at(q + 1)
         certified = is_subset(nxt, cur)
         checked = True
         witness = None

@@ -123,7 +123,7 @@ _REP_RANGE_CAP = 400_000
 # members within the square root of its radius
 _MULT_TARGET_CAP = 10**10
 # (set, h) entries of the closed-fold memo: one pass of all 16 verify
-# scenarios fills 8,087 to 8,260 at seeds 0, 5 and 7
+# scenarios fills 5,253 to 5,296 at seeds 0, 5 and 7
 _CLOSED_FOLD_CACHE = 1 << 14
 
 
@@ -680,6 +680,9 @@ def _rep_add(s: IntSet, h: int, x: int, gen_radius: int) -> RepCount:
         return RepCount(_rep_dp(vals, h, x, lo_bound=lo))
     if hi is not None:
         return _rep_add(normalize(Affine(-1, 0, s)), h, -x, gen_radius)
+    # a closed h-fold sum that misses x settles the count at 0
+    if (fold := _closed_hfold(s, h)) is not None and not contains(fold, x):
+        return RepCount(0)
     vals = materialize(s, Window(-gen_radius, gen_radius))
     return RepCount(_rep_dp(vals, h, x), exact=False)
 

@@ -32,7 +32,7 @@ _DISTRIBUTE_CAP = 16
 # points min_element scans above a known lower bound
 _ELEMENT_SEARCH = 65536
 # entries of the normalize memo: one pass of all 16 verify scenarios
-# fills 8,269 to 8,539 at seeds 0, 5 and 7
+# fills 5,347 to 5,366 at seeds 0, 5 and 7
 _NORMALIZE_CACHE = 1 << 16
 
 

@@ -9,6 +9,7 @@ from intersets import (
     CERTIFIED_OUT,
     EMPIRICAL_EQUAL,
     UNDETERMINED,
+    AffineFamily,
     CongruenceChainFamily,
     CosetTailFamily,
     EMPTY,
@@ -43,7 +44,14 @@ from intersets import analyzer, families, sumsets, symbolic
 from intersets.analyzer import _sample_member, _with_certificate
 from intersets.sumsets import Windowed
 from intersets.symbolic import max_element, min_element
-from oracles import fold_values, lattice_fold, members, spiral, windowed_fold
+from oracles import (
+    fold_values,
+    lattice_fold,
+    layer_fold_intersection,
+    members,
+    spiral,
+    windowed_fold,
+)
 
 FOURZ1 = union(congruence(4, (0,)), finite([1]))
 THREEZ1 = union(congruence(3, (0,)), finite([1]))
@@ -372,8 +380,30 @@ def test_truncated_layer_fold_matches_oracle_layer_folds(kind, core, h, Q, lo, h
     r = 2 * win.radius + 3 * Q + 25
     expected = set(range(lo, hi + 1))
     for q in range(1, Q + 1):
-        expected &= windowed_fold(fam.layer(q), h, win, r)
+        expected &= windowed_fold(fam.set_at(q), h, win, r)
     assert truncated_layer_fold(fam, h, win, Q) == expected
+
+
+NON_NESTED = [
+    ExplicitFamily([half_tail(2), half_tail(0)]),
+    ExplicitFamily([finite([0, 1]), finite([0, 2])]),
+    ExplicitFamily([finite(range(0, 60, 2)), finite(range(0, 60, 3))]),
+]
+
+
+@pytest.mark.parametrize(
+    "fam",
+    NON_NESTED
+    + [ScaledFamily(f, 2) for f in NON_NESTED]
+    + [AffineFamily(-1, 3, f) for f in NON_NESTED],
+    ids=lambda f: f.kind,
+)
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_chains_that_do_not_nest_fold_every_layer(fam, h):
+    assert fam.decreasing is False
+    win = Window(-60, 60)
+    expected = layer_fold_intersection(fam, h, win, 2, 200)
+    assert truncated_layer_fold(fam, h, win, 2, 200) == expected
 
 
 def _no_materialize(monkeypatch):
@@ -519,22 +549,11 @@ def test_scaled_congruence_chain_completes():
 
 
 def test_layers_are_built_once_per_family():
-    def scaled(memo: bool):
-        inner = TailFamily(FOURZ1)
-        fam = ScaledFamily(inner, 3)
-        calls = []
-        build = inner.set_at
-        inner.set_at = lambda q: calls.append(q) or build(q)
-        if not memo:
-            for f in (inner, fam):
-                f.layer = f.set_at
-        return fam, calls
-
-    fam, calls = scaled(memo=True)
-    report = compute_H(fam, 4)
-    # the deep pass of _empirical reaches Q * deep_scale
-    assert sorted(calls) == list(range(1, 17))
-    plain, plain_calls = scaled(memo=False)
-    assert compute_H(plain, 4) == report
-    assert len(plain_calls) > len(calls)
-    assert fam.layer(2) is fam.layer(2)
+    inner = TailFamily(FOURZ1)
+    calls = []
+    build = inner.set_at
+    inner.set_at = lambda q: calls.append(q) or build(q)
+    compute_H(ScaledFamily(inner, 3), 4)
+    # nested layers meet at the deepest one: for each h > 1 the two passes
+    # of _empirical fold layer Q = 8 and layer Q * deep_scale = 16 alone
+    assert calls == [8, 16] * 3

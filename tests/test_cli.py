@@ -257,8 +257,8 @@ def test_repfn_infinite(capsys):
 
 
 def test_repfn_json(capsys):
-    # 2Z holds infinitely many pairs summing to 4; the count of 0 pairs
-    # summing to 3 is only a lower bound, since 2Z is unbounded both ways
+    # 2Z holds infinitely many pairs summing to 4, and none summing to 3,
+    # since 2Z + 2Z = 2Z holds no odd number
     assert main(["repfn", "--set", "congruence:2:0", "--h", "2",
                  "--window", "3:4", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
@@ -266,7 +266,7 @@ def test_repfn_json(capsys):
         "mode": "add",
         "input": {"kind": "congruence", "modulus": "2", "residues": ["0"]},
         "counts": [
-            {"x": "3", "count": "0", "exact": False},
+            {"x": "3", "count": "0", "exact": True},
             {"x": "4", "count": None, "exact": True},
         ],
     }

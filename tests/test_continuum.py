@@ -89,8 +89,9 @@ def test_rational_theorem_gates():
         verify_rational_theorem(fam, 1, 6, (0, 18))
     with pytest.raises(InputError):
         verify_rational_theorem(fam, 2, 4, (0, 18))  # needs 2h < Q
+    short = RationalPerturbFamily((4, 8, 12), r_max=8)
     with pytest.raises(InputError):
-        verify_rational_theorem(fam, 2, 6, (0, 18), r_max=8)  # needs >= 2Q
+        verify_rational_theorem(short, 2, 6, (0, 18))  # needs r_max >= 2Q
     with pytest.raises(InputError):
         verify_rational_theorem(fam, 2, 6, (18, 0))
 

@@ -24,6 +24,7 @@ from intersets import (
     congruence,
     finite,
     half_tail,
+    is_subset,
     materialize,
     tail,
     union,
@@ -261,8 +262,8 @@ def _chain_oracle(fam, q, windows):
     """(contained, witness) for layers q and q + 1 as classify_monotonicity
     defines them, from `contains` scans in oracle spiral order."""
     outer = Window(-windows[-1], windows[-1])
-    cur = set(members(fam.layer(q), outer))
-    nxt = set(members(fam.layer(q + 1), outer))
+    cur = set(members(fam.set_at(q), outer))
+    nxt = set(members(fam.set_at(q + 1), outer))
     for r in windows:
         if any(x in nxt and x not in cur for x in range(-r, r + 1)):
             return False, None
@@ -316,3 +317,11 @@ def test_params_rebuild_same_layers(fam):
     for q in (1, 2, 3)[: fam.depth or 3]:
         assert twin.set_at(q) == fam.set_at(q)
     assert twin.intersection() == fam.intersection()
+
+
+@pytest.mark.parametrize("fam", ROUND_TRIP, ids=lambda f: f.kind)
+def test_decreasing_families_nest(fam):
+    # every family here nests, the explicit chain included
+    assert fam.decreasing
+    for q in range(1, min(7, (fam.depth or 8) - 1) + 1):
+        assert is_subset(fam.set_at(q + 1), fam.set_at(q))

@@ -731,9 +731,12 @@ def test_rep_count_bounded_above_counts_the_mirror():
 
 
 def test_rep_count_unbounded_both_ways_is_a_lower_bound():
-    # 2Z holds no pair summing to the odd 7; with no bound either way the
-    # count comes from a radius window and is only a lower bound
-    assert representation_count(congruence(2, [0]), 2, 7) == RepCount(0, exact=False)
+    # with no bound either way and no closed 2-fold sum, the count comes
+    # from a radius window and is only a lower bound
+    s = union(congruence(1000003, [0]), finite(range(0, 60, 2)))
+    assert representation_count(s, 2, 1) == RepCount(0, exact=False)
+    # 2Z + 2Z = 2Z holds no odd number, so the count of 7 is settled
+    assert representation_count(congruence(2, [0]), 2, 7) == RepCount(0)
 
 
 def test_rep_count_mult():
