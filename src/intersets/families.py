@@ -1,7 +1,9 @@
 """Decreasing set families A_1 >= A_2 >= ... with a common intersection.
 
 Every kind decreases but a hand-given explicit chain, whose `decreasing`
-says if its layers nest.  Each family exposes its q-th layer, the exact
+says if its layers nest.  A nested explicit chain's certificate and
+intersection read its last layer alone; only a chain that does not nest
+folds every layer.  Each family exposes its q-th layer, the exact
 intersection of all layers, and (where one is known) a closed-form
 certificate for the intersection of the layerwise h-fold sumsets.
 Certificates are what lets the analyzer decide membership questions
@@ -403,7 +405,12 @@ class ScaledFamily(Family):
 
 
 class ExplicitFamily(Family):
-    """A hand-given finite chain A_1, ..., A_Q; its layers need not nest."""
+    """A hand-given finite chain A_1, ..., A_Q; its layers need not nest.
+
+    When they nest, the h-fold sums nest too, so the certificate folds
+    and the intersection reads layer Q alone; a chain that does not nest
+    folds every layer and intersects the folds.
+    """
 
     kind = "explicit"
     fields = {"sets": "sets"}
@@ -421,11 +428,11 @@ class ExplicitFamily(Family):
         return self.sets[q - 1]
 
     def intersection(self) -> IntSet:
-        return intersect(*self.sets)
+        return self.sets[-1] if self.decreasing else intersect(*self.sets)
 
     def certificate(self, h: int) -> TailCertificate | None:
         folds = []
-        for s in self.sets:
+        for s in self.sets[-1:] if self.decreasing else self.sets:
             if (fold := _closed_hfold(s, h)) is None:
                 return None
             folds.append(fold)

@@ -93,6 +93,7 @@ from .symbolic import (
     Union,
     Window,
     IN,
+    MATERIALIZE_CAP,
     OUT,
     as_down_tail,
     bounds,
@@ -736,7 +737,9 @@ def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
     most |x|**(k/h), so (their product)**h <= r**k.  So the products of
     h - 1 factors from the members of s within sqrt(r) are built under
     those bounds, and each is completed by the members of s that take it
-    into the window, read off one slice of s.
+    into the window, read off one slice of s.  The slices' members are
+    counted first: above MATERIALIZE_CAP of them raise CapError before any
+    product is listed.
     """
     if h < 1:
         raise DomainError(f"h must be >= 1, got {h}")
@@ -759,15 +762,21 @@ def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
                     break  # small ascends in size
                 nxt.add(p * a)
         prods = nxt
-    members = set()
+    slices, cost = [], 0
     for p in prods:
         q = abs(p)
         # q * b lies in the window for b in [b_lo, b_hi], and p * a = q * b
         # for a = b, or a = -b when p < 0
         b_lo, b_hi = -(-window.lo // q), window.hi // q
         a_lo, a_hi = (b_lo, b_hi) if p > 0 else (-b_hi, -b_lo)
-        if a_lo <= a_hi:
-            members.update(p * a for a in materialize(s, Window(a_lo, a_hi)))
+        bits = window_bits(s, a_lo, a_hi)
+        cost += bits.bit_count()
+        if cost > MATERIALIZE_CAP:
+            raise CapError(
+                f"{h}-fold products read more than {MATERIALIZE_CAP} members"
+            )
+        slices.append((p, a_lo, bits))
+    members = {p * a for p, a_lo, bits in slices for a in mask_members(bits, a_lo)}
     offsets = [x - window.lo for x in members]
     return Windowed(window, _bits_at(offsets, window.size), window.radius, True)
 

@@ -470,9 +470,10 @@ def bounds(s: IntSet) -> tuple[int | None, int | None]:
         hi = None if any(v is None for v in his) else max(his)
         return (lo, hi)
     if isinstance(s, Intersection):
-        los = [v for v, _ in map(bounds, s.parts) if v is not None]
-        his = [v for _, v in map(bounds, s.parts) if v is not None]
-        return (max(los) if los else None, min(his) if his else None)
+        los, his = zip(*map(bounds, s.parts))
+        lo = max((v for v in los if v is not None), default=None)
+        hi = min((v for v in his if v is not None), default=None)
+        return (lo, hi)
     raise TypeError(f"not an IntSet: {s!r}")
 
 

@@ -831,6 +831,17 @@ def test_hfold_product_cost_follows_the_products():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_hfold_product_caps_the_members_it_reads(h):
+    # each product p within sqrt(r) reads about 2r/|p| members of this dense
+    # set, some 3e7 in all: refused before any product is listed
+    win = Window(-999_999, 10**6)
+    start = time.perf_counter()
+    with pytest.raises(CapError, match=f"{h}-fold products read more than"):
+        hfold_product(cofinite([0, 1, -1]), h, win)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("v", [0, 1, -1, 2, 12, -36, 97, 360, -1001])
 def test_signed_divisors_by_exhaustion(v):
     expected = [d for d in range(-abs(v), abs(v) + 1) if d and v % d == 0]

@@ -320,6 +320,18 @@ def test_bounds_bracket_every_member(s):
             assert hi is None or x <= hi
 
 
+def test_bounds_visits_each_part_once(monkeypatch):
+    # eight nested intersections: one visit per term, not 2 ** 8 at the core
+    term = HalfTail(0)
+    for k in range(1, 9):
+        term = Intersection((term, Finite(tuple(range(-k, 20 + k)))))
+    seen = []
+    walk = symbolic.bounds
+    monkeypatch.setattr(symbolic, "bounds", lambda s: seen.append(s) or walk(s))
+    assert symbolic.bounds(term) == (0, 20)
+    assert len(seen) == 17
+
+
 def test_canonical_forms():
     """Distinct spellings of the same set normalize to one representative."""
     assert congruence(6, (1, 3, 5)) == congruence(2, (1,))
