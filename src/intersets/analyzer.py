@@ -20,6 +20,7 @@ from .errors import InputError, InvariantError
 from .families import ExplicitFamily, Family, ProductFamily, ScaledFamily
 from .groups import FiniteGroupTable, group_H_explicit, group_hfolds
 from .symbolic import (
+    MATERIALIZE_CAP,
     OUT,
     Empty,
     IntSet,
@@ -130,17 +131,20 @@ class HReport:
 
 
 def _sample_member(s: IntSet, window: Window) -> int | None:
-    """Smallest-|x| member (negatives first), scanning growing windows."""
+    """Smallest-|x| member (negatives first), scanning growing windows
+    while they stay within the materialization cap."""
     s = normalize(s)
     if isinstance(s, Empty):
         return None
     r = max(window.radius, 64)
+    check_cap(Window(-r, r))
     for _ in range(4):
-        check_cap(Window(-r, r))
         x = spiral_first(window_bits(s, -r, r), -r)
         if x is not None:
             return x
         r *= 4
+        if Window(-r, r).size > MATERIALIZE_CAP:
+            break
     lo = min_element(s)
     if lo is not None:
         return lo
@@ -602,12 +606,6 @@ class ScaledComparison:
     factor: int
     base: HReport
     scaled: HReport
-
-    @property
-    def status_agreement(self) -> tuple[bool, ...]:
-        return tuple(
-            a == b for a, b in zip(self.base.statuses, self.scaled.statuses)
-        )
 
 
 def compare_scaled(

@@ -342,10 +342,6 @@ class IntervalUnion:
     def build(pairs) -> "IntervalUnion":
         return IntervalUnion(_merge((Fraction(a), Fraction(b)) for a, b in pairs))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def contains(self, x) -> bool:
         return _contains(self.intervals, Fraction(x))
 
@@ -354,12 +350,6 @@ class IntervalUnion:
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(_intersect(self.intervals, other.intervals))
-
-    def restrict(self, lo, hi) -> "IntervalUnion":
-        return self.intersect(IntervalUnion.build([(lo, hi)]))
-
-    def minkowski(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(_minkowski(self.intervals, other.intervals))
 
 
 def minkowski_hfold(u: IntervalUnion, h: int) -> IntervalUnion:

@@ -1,8 +1,8 @@
 """Finite abelian groups as explicit operation tables.
 
 Elements are indices 0..n-1; subsets are frozensets of indices.  Layered
-subset chains here are finite lists read as eventually constant, so their
-h-fold intersections are computed exactly.
+subset families here are finite lists, so their h-fold intersections are
+computed exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from functools import lru_cache, reduce
 from itertools import islice
 
 from .errors import ConstructionError, DomainError
-
-_FULL_CHECK_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -38,51 +36,6 @@ class FiniteGroupTable:
             raise ConstructionError(f"order must be >= 1, got {n}")
         rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return FiniteGroupTable(rows, 0)
-
-    @staticmethod
-    def direct_product(
-        g1: "FiniteGroupTable", g2: "FiniteGroupTable"
-    ) -> "FiniteGroupTable":
-        n1, n2 = g1.order, g2.order
-        rows = tuple(
-            tuple(
-                g1.add(i1, j1) * n2 + g2.add(i2, j2)
-                for j1 in range(n1)
-                for j2 in range(n2)
-            )
-            for i1 in range(n1)
-            for i2 in range(n2)
-        )
-        return FiniteGroupTable(rows, g1.identity * n2 + g2.identity)
-
-    @staticmethod
-    def from_rows(rows, identity: int = 0) -> "FiniteGroupTable":
-        table = tuple(tuple(r) for r in rows)
-        g = FiniteGroupTable(table, identity)
-        g.validate()
-        return g
-
-    def validate(self) -> None:
-        n = self.order
-        rng = range(n)
-        for i in rng:
-            if len(self.table[i]) != n:
-                raise ConstructionError("operation table must be square")
-            if self.add(self.identity, i) != i or self.add(i, self.identity) != i:
-                raise ConstructionError(f"{self.identity} is not an identity")
-        for i in rng:
-            if set(self.table[i]) != set(rng):
-                raise ConstructionError(f"row {i} is not a permutation")
-            if any(self.add(i, j) != self.add(j, i) for j in rng):
-                raise ConstructionError("table is not commutative")
-        if n <= _FULL_CHECK_CAP:
-            for i in rng:
-                for j in rng:
-                    for k in rng:
-                        if self.add(self.add(i, j), k) != self.add(i, self.add(j, k)):
-                            raise ConstructionError(
-                                f"associativity fails at ({i}, {j}, {k})"
-                            )
 
 
 def group_hfold(g: FiniteGroupTable, subset, h: int) -> frozenset[int]:
@@ -124,24 +77,20 @@ class GroupHVerdict:
 def group_H_explicit(
     g: FiniteGroupTable, layers, h_max: int
 ) -> tuple[GroupHVerdict, ...]:
-    """H for a finite decreasing chain of subsets, read eventually constant.
+    """H for a finite family of subsets, nested or not.
 
-    Exact: the chain has finitely many distinct layers, so every
-    intersection is a finite intersection.
+    Exact: the family has finitely many layers, so its core and every
+    intersection of layer folds is a finite intersection.
     """
     chain = [frozenset(layer) for layer in layers]
     if not chain:
         raise ConstructionError("at least one layer is required")
-    for a, b in zip(chain, chain[1:]):
-        if not b <= a:
-            raise ConstructionError("layers must be decreasing")
-    # the chain decreases, so its intersection is its last layer
-    core = chain[-1]
+    core = frozenset.intersection(*chain)
     if not core:
         raise ConstructionError("the chain intersection must be nonempty")
-    # one ladder per distinct layer; the core's is the last layer's
+    # one ladder per distinct layer; the core is a layer when the chain nests
     ladders = {layer: group_hfolds(g, layer, h_max) for layer in chain}
-    core_folds = ladders[core]
+    core_folds = ladders[core] if core in ladders else group_hfolds(g, core, h_max)
     out = []
     for h in range(1, h_max + 1):
         fold = core_folds[h - 1]

@@ -5,14 +5,14 @@ elements listed one `contains` call at a time, no bitsets, no closed forms.
 """
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 from intersets import (
     ALL,
     EMPTY,
-    IntervalUnion,
     OpenTheoremReport,
     Window,
     contains,
@@ -144,11 +144,56 @@ def vector_min_samples(seed: int, count: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def _interval_fold(pairs, h: int) -> IntervalUnion:
-    layer = IntervalUnion.build(pairs)
+def _in_any(pairs):
+    """Membership in the union of the open intervals (a, b) of pairs: x is
+    inside when an interval that starts below x ends above it."""
+    pairs = sorted(pairs)
+    starts = [a for a, _ in pairs]
+    reach = list(accumulate((b for _, b in pairs), max))
+
+    def inside(x) -> bool:
+        below = bisect_left(starts, x)
+        return below > 0 and reach[below - 1] > x
+
+    return inside
+
+
+def _components(pairs, inside) -> list[tuple[Fraction, Fraction]]:
+    """The open set {x : inside(x)} as sorted disjoint open intervals.
+
+    The set must be a union of open intervals whose endpoints are among
+    those of pairs.  Membership is constant between consecutive endpoints,
+    so each gap is tested at its midpoint; two gaps that share an endpoint
+    join only when that endpoint is inside too.
+    """
+    ends = sorted({x for pair in pairs for x in pair})
+    out = []
+    for p, q in zip(ends, ends[1:]):
+        if not inside((p + q) / 2):
+            continue
+        if out and out[-1][1] == p and inside(p):
+            out[-1] = (out[-1][0], q)
+        else:
+            out.append((p, q))
+    return out
+
+
+def _union(pairs):
+    return _components(pairs, _in_any(pairs))
+
+
+def _meet(xs, ys):
+    in_x, in_y = _in_any(xs), _in_any(ys)
+    return _components(xs + ys, lambda x: in_x(x) and in_y(x))
+
+
+def _interval_fold(pairs, h: int):
+    """The h-fold Minkowski sum of the union of pairs, one summand at a
+    time: (a, b) + (c, d) = (a + c, b + d) for every pair of intervals."""
+    layer = _union(pairs)
     fold = layer
     for _ in range(h - 1):
-        fold = fold.minkowski(layer)
+        fold = _union({(a + c, b + d) for a, b in fold for c, d in layer})
     return fold
 
 
@@ -161,21 +206,23 @@ def _open_intersections(points: tuple, h: int, Q: int):
         r = Fraction(1, q)
         fold = _interval_fold([p for b in points for p in ((b - r, b), (b, b + r))], h)
         pfold = _interval_fold([(b - r, b + r) for b in points], h)
-        trunc = fold if trunc is None else trunc.intersect(fold)
-        primed = pfold if primed is None else primed.intersect(pfold)
+        trunc = fold if trunc is None else _meet(trunc, fold)
+        primed = pfold if primed is None else _meet(primed, pfold)
     return trunc, primed
 
 
 def open_theorem_reference(points, h: int, Q: int, value_window) -> OpenTheoremReport:
-    """verify_open_theorem's report by the IntervalUnion API in Fractions:
-    layers built from their pairs, h-folds by repeated Minkowski sums, base
-    sums from fold_values, and every comparison made on Fractions."""
+    """verify_open_theorem's report in Fractions, from membership tests
+    alone: layers built from their pairs, h-folds by repeated Minkowski
+    sums, every union and intersection read off at endpoints and gap
+    midpoints, base sums from fold_values."""
     lo, hi = Fraction(value_window[0]), Fraction(value_window[1])
     trunc, primed = _open_intersections(tuple(points), h, Q)
 
-    visible = tuple((a, b) for a, b in trunc.intervals if b > lo and a < hi)
+    visible = tuple((a, b) for a, b in trunc if b > lo and a < hi)
     bound = Fraction(h, Q)
     centers = sorted(fold_values(points, h))
+    in_primed = _in_any(primed)
 
     all_centered = bool(visible)
     all_punctured = all_within = True
@@ -198,5 +245,5 @@ def open_theorem_reference(points, h: int, Q: int, value_window) -> OpenTheoremR
         all_centered=all_centered,
         all_punctured=all_punctured,
         all_within_radius=all_within,
-        primed_contains_base=all(primed.contains(s) for s in centers if lo <= s <= hi),
+        primed_contains_base=all(in_primed(s) for s in centers if lo <= s <= hi),
     )

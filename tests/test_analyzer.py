@@ -10,6 +10,7 @@ from intersets import (
     EMPIRICAL_EQUAL,
     UNDETERMINED,
     AffineFamily,
+    CapError,
     CongruenceChainFamily,
     CosetTailFamily,
     EMPTY,
@@ -439,6 +440,14 @@ def test_pullback_frozen():
     assert all(c.symbolic_equal and c.window_equal for c in rep.fold_checks)
 
 
+def test_pullback_of_a_family_that_does_not_nest():
+    # {0, 1} and {0, 2} mod 4 meet in {0}: h-fold sums of 4Z stay 4Z, while
+    # from h = 2 on every layer fold holds 2 mod 4
+    rep = pullback_check(4, [[0, 1], [0, 2]], 4)
+    assert rep.h_in_group == (True, False, False, False)
+    assert rep.h_agrees and rep.ok
+
+
 def test_pullback_reads_every_layer_of_a_generator():
     layers = [(0, 1, 2, 3), (0, 2)]
     rep = pullback_check(6, (layer for layer in layers), 3)
@@ -471,7 +480,6 @@ def test_compare_scaled_frozen():
         EMPIRICAL_EQUAL,
     )
     assert [v.witness for v in cmp.scaled.verdicts] == [None, -3, -3, None]
-    assert cmp.status_agreement == (True, False, False, False)
     # the scaled candidates really are the scaled base witnesses
     assert [3 * w if w is not None else None for w in
             [v.witness for v in cmp.base.verdicts]] == [
@@ -534,6 +542,24 @@ def test_sample_member_scans_then_falls_back(s, radius):
         if expected is None:
             expected = max_element(s)
     assert _sample_member(s, Window(-radius, 0)) == expected
+
+
+def test_sample_member_scans_stay_within_the_cap(monkeypatch):
+    # from radius 600,000 one fourfold widening would pass the cap, so the
+    # scan stops there and falls back to the least member
+    spans = []
+    scan = analyzer.window_bits
+    monkeypatch.setattr(
+        analyzer,
+        "window_bits",
+        lambda s, lo, hi: spans.append(hi - lo + 1) or scan(s, lo, hi),
+    )
+    assert _sample_member(finite([800_000]), Window(-600_000, 600_000)) == 800_000
+    assert spans == [1_200_001]
+    # a first window past the cap is refused before any scan
+    with pytest.raises(CapError):
+        _sample_member(finite([5]), Window(-10**6, 10**6))
+    assert spans == [1_200_001]
 
 
 def test_scaled_congruence_chain_completes():

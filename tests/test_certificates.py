@@ -7,6 +7,7 @@ explicit chain's certificate folds only its last layer; the spies below
 pin which layers are folded.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,12 @@ from intersets import (
     CERTIFIED_IN,
     EMPTY,
     AffineFamily,
+    CongruenceChainFamily,
+    CosetTailFamily,
+    EnumerationFamily,
     ExplicitFamily,
     HalfTailFamily,
+    TailFamily,
     Window,
     compute_H,
     congruence,
@@ -41,6 +46,26 @@ def test_half_tail_certificate_matches_layer_folds(core, h):
     # they all lie past the window, and no summand of a window sum exceeds Q
     Q = WINDOW.hi + 1 + (h - 1) * 12
     got, brute = recheck_certificate(HalfTailFamily(finite(core)), h, WINDOW, Q, Q)
+    assert got == brute
+
+
+# each family with the depth Q and summand radius past which deeper layers
+# and farther summands change no window sum at h <= 4
+RECHECKS = {
+    "tail": (TailFamily(finite([0, 1])), 12, 80),
+    "congruence-chain": (CongruenceChainFamily((0, 1, 3), m1=7), 6, 400),
+    "coset-tail": (CosetTailFamily(3, 1), 8, 200),
+    "enumeration": (EnumerationFamily(finite([0, 2, 5])), 8, 80),
+    "affine-half-tail": (AffineFamily(-1, 3, HalfTailFamily(finite([0, 4]))), 60, 80),
+    "affine-coset-tail": (AffineFamily(-1, 3, CosetTailFamily(3, 1)), 8, 200),
+}
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+@pytest.mark.parametrize("name", RECHECKS)
+def test_certificate_matches_layer_folds(name, h):
+    fam, Q, radius = RECHECKS[name]
+    got, brute = recheck_certificate(fam, h, Window(-24, 24), Q, radius)
     assert got == brute
 
 

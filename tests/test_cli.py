@@ -359,6 +359,18 @@ def test_hset_malformed_document_is_one_error_line(doc, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_hset_sample_search_stops_at_the_cap(monkeypatch, capsys):
+    # the core lies past the window, and a fourfold wider search window
+    # would pass the cap, so the sample is read as the least member
+    doc = {"family": "half-tail", "core": {"kind": "finite", "elements": ["800000"]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["hset", "--family", "-", "--hmax", "2", "--format", "json",
+                 "--window=-600000:600000"]) == 0
+    rep = report_from_json(json.loads(capsys.readouterr().out))
+    assert rep.statuses == ("CertifiedIn", "CertifiedIn")
+    assert [v.sample for v in rep.verdicts] == [800000, 1600000]
+
+
 def test_hset_null_ratio_is_the_default(monkeypatch, capsys):
     assert _hset_stdin(_CHAIN, monkeypatch) == 0
     expected = capsys.readouterr().out

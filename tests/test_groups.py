@@ -13,39 +13,44 @@ from intersets import (
 )
 
 
+def _assert_abelian_group(g):
+    """The table's group axioms, checked in full: identity, rows that are
+    permutations, commutativity and associativity."""
+    elems = range(g.order)
+    assert all(len(row) == g.order for row in g.table)
+    assert all(g.add(g.identity, i) == i for i in elems)
+    assert all(sorted(g.table[i]) == list(elems) for i in elems)
+    assert all(g.add(i, j) == g.add(j, i) for i in elems for j in elems)
+    assert all(
+        g.add(g.add(i, j), k) == g.add(i, g.add(j, k))
+        for i in elems
+        for j in elems
+        for k in elems
+    )
+
+
+def _product_table(n1: int, n2: int) -> FiniteGroupTable:
+    """Z/n1 x Z/n2, the pair (a, b) at index a * n2 + b."""
+    rows = tuple(
+        tuple((a + c) % n1 * n2 + (b + d) % n2 for c in range(n1) for d in range(n2))
+        for a in range(n1)
+        for b in range(n2)
+    )
+    return FiniteGroupTable(rows, 0)
+
+
 def test_cyclic_table():
     g = FiniteGroupTable.cyclic(5)
     assert g.order == 5
     assert g.add(3, 4) == 2
-    g.validate()
+    assert g.identity == 0
+    _assert_abelian_group(g)
     with pytest.raises(ConstructionError):
         FiniteGroupTable.cyclic(0)
     with pytest.raises(ConstructionError):
         FiniteGroupTable.cyclic(-3)
     # tables are memoised: a repeat call shares the frozen table
     assert FiniteGroupTable.cyclic(5) is g
-
-
-def test_direct_product():
-    g = FiniteGroupTable.direct_product(
-        FiniteGroupTable.cyclic(2), FiniteGroupTable.cyclic(3)
-    )
-    assert g.order == 6
-    g.validate()
-    # (1,1) + (1,2) = (0,0): index 1*3+1=4 plus 1*3+2=5 is the identity
-    assert g.add(4, 5) == 0
-
-
-def test_from_rows_validates():
-    rows = [[0, 1], [1, 0]]
-    g = FiniteGroupTable.from_rows(rows)
-    assert g.order == 2
-    with pytest.raises(ConstructionError):
-        FiniteGroupTable.from_rows([[0, 1], [1, 1]])  # row not a permutation
-    with pytest.raises(ConstructionError):
-        FiniteGroupTable.from_rows([[1, 0], [0, 1]])  # 0 not an identity
-    with pytest.raises(ConstructionError):
-        FiniteGroupTable.from_rows([[0, 1, 2], [1, 2, 0]])  # not square
 
 
 def test_group_hfold():
@@ -82,14 +87,24 @@ def test_group_H_explicit_finite_chains_always_agree():
     assert group_hfold(g, {0, 2, 6}, 2) == frozenset({0, 2, 4, 6})
 
 
+def test_group_H_explicit_reads_a_family_that_does_not_nest():
+    # the core {0} is no layer: its folds stay {0}, while the layer folds
+    # meet in {0, 2} from h = 2 on
+    g = FiniteGroupTable.cyclic(4)
+    verdicts = group_H_explicit(g, [{0, 1}, {0, 2}], 4)
+    assert [v.in_H for v in verdicts] == [True, False, False, False]
+    assert all(v.fold == frozenset({0}) for v in verdicts)
+    assert [v.layer_fold for v in verdicts[1:]] == [frozenset({0, 2})] * 3
+
+
 def test_group_H_explicit_gates():
     g = FiniteGroupTable.cyclic(4)
     with pytest.raises(ConstructionError):
         group_H_explicit(g, [], 2)
     with pytest.raises(ConstructionError):
-        group_H_explicit(g, [{0, 1}, {0, 2}], 2)  # not decreasing
-    with pytest.raises(ConstructionError):
         group_H_explicit(g, [{1}, set()], 2)  # empty intersection
+    with pytest.raises(ConstructionError):
+        group_H_explicit(g, [{0, 1}, {2, 3}], 2)  # layers that do not meet
 
 
 @pytest.mark.parametrize(
@@ -98,16 +113,13 @@ def test_group_H_explicit_gates():
         FiniteGroupTable.cyclic(1),
         FiniteGroupTable.cyclic(7),
         FiniteGroupTable.cyclic(12),
-        FiniteGroupTable.direct_product(
-            FiniteGroupTable.cyclic(2), FiniteGroupTable.cyclic(4)
-        ),
-        FiniteGroupTable.direct_product(
-            FiniteGroupTable.cyclic(3), FiniteGroupTable.cyclic(3)
-        ),
+        _product_table(2, 4),
+        _product_table(3, 3),
     ],
     ids=["Z1", "Z7", "Z12", "Z2xZ4", "Z3xZ3"],
 )
 def test_group_hfolds_ladder_matches_each_hfold(g):
+    _assert_abelian_group(g)
     n = g.order
     subsets = [set(), {0}, {n - 1}, {0, n // 2}, {1 % n, 2 % n, (n - 1) % n}]
     for subset in subsets:
