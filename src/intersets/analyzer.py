@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InputError, InvariantError
 from .families import ExplicitFamily, Family, ProductFamily, ScaledFamily
-from .groups import FiniteGroupTable, group_H_explicit, group_hfolds
+from .groups import FiniteGroupTable, _group_verdicts, group_hfolds
 from .symbolic import (
     MATERIALIZE_CAP,
     OUT,
@@ -221,17 +221,21 @@ def _with_certificate(
                 f"closed {h}-fold sumset absorbs the intersection "
                 f"certificate {tag}",
             )
-        # witnesses are searched well beyond the reporting window; the
-        # window's radius passed the cap in _sample_member(cset, window)
-        r = 16 * max(window.radius, 32)
-        w = spiral_first(window_bits(cset, -r, r) & ~window_bits(fold, -r, r), -r)
-        if w is not None:
-            return (
-                CERTIFIED_OUT,
-                w,
-                f"{w} lies in the intersection certificate {tag} but not in "
-                f"the closed {h}-fold sumset",
-            )
+        # witnesses are searched beyond the reporting window, on radii 1, 4
+        # and 16 times its own while within the cap; a symmetric range is a
+        # prefix of spiral order, so the first radius with a witness suffices
+        r = max(window.radius, 32)
+        for r in (r, 4 * r, 16 * r):
+            if Window(-r, r).size > MATERIALIZE_CAP:
+                break
+            diff = window_bits(cset, -r, r) & ~window_bits(fold, -r, r)
+            if (w := spiral_first(diff, -r)) is not None:
+                return (
+                    CERTIFIED_OUT,
+                    w,
+                    f"{w} lies in the intersection certificate {tag} but not "
+                    f"in the closed {h}-fold sumset",
+                )
         return (
             UNDETERMINED,
             None,
@@ -549,9 +553,10 @@ def pullback_check(
     """Residue arithmetic against its preimage under reduction mod m.
 
     For each layer B and h: the h-fold sums of {x : x mod m in B} must be
-    exactly {x : x mod m in hB}, checked structurally and on the window.
-    H of the residue chain, computed exhaustively in Z/mZ, must agree
-    with H of the preimage chain over the integers.
+    exactly {x : x mod m in hB}, checked structurally and, where the closed
+    form is not structurally equal, on the window.  H of the residue chain,
+    computed exhaustively in Z/mZ from the same ladders hB, must agree with
+    H of the preimage chain, built from the same congruences.
     """
     if m < 2:
         raise InputError(f"modulus must be >= 2, got {m}")
@@ -563,28 +568,30 @@ def pullback_check(
     if not chain or any(not layer for layer in chain):
         raise InputError("residue layers must be nonempty")
     win = window or Window(-10 * m, 10 * m)
+    check_cap(win)
     g = FiniteGroupTable.cyclic(m)
 
     checks = []
-    seen: set[frozenset[int]] = set()
+    pulls, ladders = {}, {}  # per distinct layer: its congruence and hB
     for layer in chain:
-        if layer in seen:
+        if layer in pulls:
             continue
-        seen.add(layer)
-        pull = congruence(m, layer)
-        for h, gf in enumerate(group_hfolds(g, layer, h_max), 1):
+        residues = tuple(sorted(layer))
+        pulls[layer] = pull = congruence(m, residues)
+        ladders[layer] = group_hfolds(g, layer, h_max)
+        for h, gf in enumerate(ladders[layer], 1):
             res = symbolic_hfold_sum(pull, h, win)
-            expected = congruence(m, gf)
+            fold = tuple(sorted(gf))
+            expected = congruence(m, fold)
             sym_eq = isinstance(res, Closed) and res.set == expected
-            got = window_mask(res, win)
-            check_cap(win)
-            win_eq = got == window_bits(expected, win.lo, win.hi)
-            checks.append(
-                FoldCheck(h, tuple(sorted(layer)), tuple(sorted(gf)), sym_eq, win_eq)
+            # an equal closed form has an equal window mask
+            win_eq = sym_eq or window_mask(res, win) == window_bits(
+                expected, win.lo, win.hi
             )
+            checks.append(FoldCheck(h, residues, fold, sym_eq, win_eq))
 
-    group_verdicts = group_H_explicit(g, chain, h_max)
-    fam = ExplicitFamily([congruence(m, layer) for layer in chain])
+    group_verdicts = _group_verdicts(g, ladders, h_max)
+    fam = ExplicitFamily([pulls[layer] for layer in chain])
     report = compute_H(fam, h_max, HConfig(Q=len(chain), window=win))
     return PullbackReport(
         modulus=m,

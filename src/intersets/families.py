@@ -436,7 +436,8 @@ class ExplicitFamily(Family):
             if (fold := _closed_hfold(s, h)) is None:
                 return None
             folds.append(fold)
-        return TailCertificate(h, intersect(*folds), "explicit")
+        cert = folds[0] if self.decreasing else intersect(*folds)
+        return TailCertificate(h, cert, "explicit")
 
 
 class ProductFamily:

@@ -82,14 +82,20 @@ def group_H_explicit(
     Exact: the family has finitely many layers, so its core and every
     intersection of layer folds is a finite intersection.
     """
-    chain = [frozenset(layer) for layer in layers]
-    if not chain:
+    ladders = {b: group_hfolds(g, b, h_max) for b in map(frozenset, layers)}
+    return _group_verdicts(g, ladders, h_max)
+
+
+def _group_verdicts(
+    g: FiniteGroupTable, ladders: dict, h_max: int
+) -> tuple[GroupHVerdict, ...]:
+    """group_H_explicit's verdicts from each distinct layer's ladder."""
+    if not ladders:
         raise ConstructionError("at least one layer is required")
-    core = frozenset.intersection(*chain)
+    core = frozenset.intersection(*ladders)
     if not core:
         raise ConstructionError("the chain intersection must be nonempty")
-    # one ladder per distinct layer; the core is a layer when the chain nests
-    ladders = {layer: group_hfolds(g, layer, h_max) for layer in chain}
+    # the core is a layer when the chain nests
     core_folds = ladders[core] if core in ladders else group_hfolds(g, core, h_max)
     out = []
     for h in range(1, h_max + 1):

@@ -199,7 +199,7 @@ def window_mask(result: SumsetResult, window: Window) -> int:
 def sum2(x: IntSet, y: IntSet) -> IntSet | None:
     """Exact Minkowski sum of two normalized sets, or None if no rule fires.
 
-    A finite set plus an optional ray closes first, in one step:
+    Two congruences close first; a finite set plus an optional ray next:
     F1 | [t1, oo) + F2 | [t2, oo) = {a + b < t : a in F1, b in F2} | [t, oo)
     for operands A and B with at least one ray, t = min(t1 + min B,
     t2 + min A); two down-rays mirror it.  That rule defers for opposite
@@ -215,6 +215,11 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
     """
     if isinstance(x, Empty) or isinstance(y, Empty):
         return EMPTY
+    if isinstance(x, Congruence) and isinstance(y, Congruence):
+        # m1*Z + m2*Z = gcd(m1, m2)*Z
+        g = math.gcd(x.modulus, y.modulus)
+        sums = {(r1 + r2) % g for r1 in x.residues for r2 in y.residues}
+        return congruence(g, sums)
     if (res := _sum_finite_rays(x, y)) is not None:
         return res
     if isinstance(x, Union) != isinstance(y, Union):
@@ -237,11 +242,6 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
             res = _sum_ray(a, b)
             if res is not None:
                 return res
-    if isinstance(x, Congruence) and isinstance(y, Congruence):
-        # m1*Z + m2*Z = gcd(m1, m2)*Z
-        g = math.gcd(x.modulus, y.modulus)
-        sums = {(r1 + r2) % g for r1 in x.residues for r2 in y.residues}
-        return congruence(g, sums)
     if isinstance(x, Union) and isinstance(y, Union):
         for a, b in ((x, y), (y, x)):
             res = _distribute(a, b)

@@ -1,5 +1,7 @@
 """H-set reports: certificates, witnesses, transport, pullback, scaling."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,9 +43,9 @@ from intersets import (
     union,
     verify_out_witness,
 )
-from intersets import analyzer, families, sumsets, symbolic
+from intersets import analyzer, families, groups, sumsets, symbolic
 from intersets.analyzer import _sample_member, _with_certificate
-from intersets.sumsets import Windowed
+from intersets.sumsets import Closed, Windowed
 from intersets.symbolic import max_element, min_element
 from oracles import (
     fold_values,
@@ -280,6 +282,48 @@ def test_windowed_certificate_lists_the_first_five_strays():
     )
 
 
+def _spy_window_bits(monkeypatch) -> list[int]:
+    """Record the span of every mask the analyzer builds."""
+    spans = []
+    scan = analyzer.window_bits
+    monkeypatch.setattr(
+        analyzer,
+        "window_bits",
+        lambda s, lo, hi: spans.append(hi - lo + 1) or scan(s, lo, hi),
+    )
+    return spans
+
+
+def test_closed_witness_search_stays_within_the_cap(monkeypatch):
+    # 16 times this window's radius spans 28,800,001 points; the search
+    # finds -1 at the window's own radius and builds nothing wider
+    spans = _spy_window_bits(monkeypatch)
+    cfg = HConfig(window=Window(-900_000, 900_000))
+    rep = compute_H(TailFamily(FOURZ1), 3, cfg)
+    assert [(v.status, v.witness) for v in rep.verdicts[1:]] == [
+        (CERTIFIED_OUT, -1),
+        (CERTIFIED_OUT, -1),
+    ]
+    assert spans and max(spans) <= symbolic.MATERIALIZE_CAP
+
+
+def test_closed_witness_search_widens_fourfold_up_to_the_cap(monkeypatch):
+    spans = _spy_window_bits(monkeypatch)
+    every = union(congruence(2, (0,)), congruence(2, (1,)))
+    # 500 lies past radii 32 and 128 but inside 512 = 16 * 32
+    fold = Closed(symbolic.cofinite([500]))
+    status, witness, _ = _with_certificate(fold, every, "p", 2, Window(-5, 5))
+    assert (status, witness) == (CERTIFIED_OUT, 500)
+    assert spans == [65, 65, 257, 257, 1025, 1025]
+    # radius 16 * 200,000 passes the cap, so the search stops at 800,000
+    spans.clear()
+    fold = Closed(symbolic.cofinite([10**6]))
+    win = Window(-200_000, 200_000)
+    status, witness, _ = _with_certificate(fold, every, "p", 2, win)
+    assert (status, witness) == (UNDETERMINED, None)
+    assert spans == [400_001, 400_001, 1_600_001, 1_600_001]
+
+
 # -- affine transport -------------------------------------------------------
 
 
@@ -460,6 +504,95 @@ def test_pullback_gates():
         pullback_check(1, [(0,)], 2)
     with pytest.raises(InputError):
         pullback_check(6, [()], 2)
+
+
+def test_pullback_checks_the_window_cap_before_any_fold(monkeypatch):
+    calls = []
+    fold = analyzer.symbolic_hfold_sum
+    monkeypatch.setattr(
+        analyzer, "symbolic_hfold_sum", lambda *a: calls.append(a) or fold(*a)
+    )
+    with pytest.raises(CapError):
+        pullback_check(4, [(0, 1)], 2, window=Window(-1_500_000, 1_500_000))
+    assert calls == []
+
+
+def test_pullback_window_check_decides_when_the_closed_form_differs(monkeypatch):
+    fold = analyzer.symbolic_hfold_sum
+
+    def shifted(s, h, window=None, gen_radius=None):
+        return Closed(symbolic.shift(fold(s, h).set, 1))
+
+    def windowed(s, h, window=None, gen_radius=None):
+        bits = symbolic.window_bits(fold(s, h).set, window.lo, window.hi)
+        return Windowed(window, bits, 0, True)
+
+    # 4Z + 1 folds to 4Z + h: one shifted class is wrong on the window too,
+    # while the right fold enumerated matches there but not as a term
+    for stub, window_equal in ((shifted, False), (windowed, True)):
+        monkeypatch.setattr(analyzer, "symbolic_hfold_sum", stub)
+        rep = pullback_check(4, [(1,)], 3)
+        assert [(c.symbolic_equal, c.window_equal) for c in rep.fold_checks] == [
+            (False, window_equal)
+        ] * 3
+
+
+def _residue_fold(b, h: int, m: int) -> tuple[int, ...]:
+    """The sums mod m of every h-tuple drawn from b, by enumeration."""
+    return tuple(sorted({sum(t) % m for t in itertools.product(b, repeat=h)}))
+
+
+def _residue_sets(m: int):
+    """Every nonempty subset of Z/m with at most three residues."""
+    for size in range(1, min(3, m) + 1):
+        yield from itertools.combinations(range(m), size)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_pullback_matches_brute_force_residue_sums(m):
+    for b in _residue_sets(m):
+        rep = pullback_check(m, [b], 4)
+        assert [(c.h, c.residues) for c in rep.fold_checks] == [
+            (h, b) for h in range(1, 5)
+        ]
+        for c in rep.fold_checks:
+            assert c.group_fold == _residue_fold(b, c.h, m)
+            assert c.symbolic_equal and c.window_equal
+        assert rep.h_in_group == rep.h_in_integers
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_pullback_of_two_layers_matches_brute_force_h(m):
+    for b1, b2 in itertools.product(_residue_sets(m), repeat=2):
+        core = set(b1) & set(b2)
+        if not core:
+            continue
+        expected = tuple(
+            set(_residue_fold(core, h, m))
+            == set(_residue_fold(b1, h, m)) & set(_residue_fold(b2, h, m))
+            for h in range(1, 4)
+        )
+        rep = pullback_check(m, [b1, b2], 3)
+        assert rep.h_in_group == rep.h_in_integers == expected
+        assert rep.fold_identity
+
+
+def test_pullback_builds_each_ladder_once(monkeypatch):
+    built = []
+    ladder = groups.group_hfolds
+
+    def spy(g, subset, h_max):
+        built.append(tuple(sorted(subset)))
+        return ladder(g, subset, h_max)
+
+    monkeypatch.setattr(groups, "group_hfolds", spy)
+    monkeypatch.setattr(analyzer, "group_hfolds", spy)
+    pullback_check(6, [(1, 3), (1,), (1, 3)], 3)
+    assert sorted(built) == [(1,), (1, 3)]
+    # layers that do not nest: the core {0} is no layer and gets its own
+    built.clear()
+    pullback_check(4, [[0, 1], [0, 2]], 4)
+    assert sorted(built) == [(0,), (0, 1), (0, 2)]
 
 
 # -- scaling comparison -----------------------------------------------------
