@@ -17,8 +17,6 @@ from .analyzer import (
     HReport,
     HVerdict,
     PullbackReport,
-    ScaledComparison,
-    compare_scaled,
     compute_H,
     compute_H_product,
     pullback_check,
@@ -28,13 +26,9 @@ from .analyzer import (
     verify_out_witness,
 )
 from .continuum import (
-    IntervalUnion,
     OpenTheoremReport,
     RationalPerturbFamily,
     RationalTheoremReport,
-    interval_layer,
-    minkowski_hfold,
-    rational_family_set,
     verify_open_theorem,
     verify_rational_theorem,
 )
@@ -49,7 +43,6 @@ from .errors import (
 )
 from .families import (
     AffineFamily,
-    ChainReport,
     CongruenceChainFamily,
     CosetTailFamily,
     EnumerationFamily,
@@ -59,12 +52,9 @@ from .families import (
     ProductFamily,
     ScaledFamily,
     TailFamily,
-    build,
-    classify_monotonicity,
 )
 from .groups import (
     FiniteGroupTable,
-    covering_orders,
     group_H_explicit,
     group_hfold,
     group_hfolds,
@@ -76,7 +66,6 @@ from .lattices import (
     MinNormCheck,
     NormTailFamily,
     lattice_hfold_sum,
-    lattice_rep_count,
     min_norm_inequality,
     verify_lattice_theorem,
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InputError, InvariantError
-from .families import ExplicitFamily, Family, ProductFamily, ScaledFamily
+from .families import ExplicitFamily, Family, ProductFamily
 from .groups import FiniteGroupTable, _group_verdicts, group_hfolds
 from .symbolic import (
     MATERIALIZE_CAP,
@@ -54,6 +54,9 @@ UNDETERMINED = "Undetermined"
 
 _IN_STATUSES = frozenset({CERTIFIED_IN, EMPIRICAL_EQUAL})
 _STRENGTH = {CERTIFIED_IN: 0, EMPIRICAL_EQUAL: 1, UNDETERMINED: 2}
+# the empirical path's confirmation pass scales Q, the window and an
+# explicit gen_radius by this factor
+DEEP_SCALE = 2
 
 
 @dataclass(frozen=True)
@@ -62,16 +65,15 @@ class HConfig:
 
     gen_radius None picks a per-layer radius from the window, h, and the
     family's layer_reach; an explicit value is used as given (scaled along
-    with the window on the deep confirmation pass).
+    with the window by DEEP_SCALE on the deep confirmation pass).
     """
 
     Q: int = 8
     window: Window = Window(-24, 24)
     gen_radius: int | None = None
-    deep_scale: int = 2
 
     def __post_init__(self):
-        for name in ("Q", "gen_radius", "deep_scale"):
+        for name in ("Q", "gen_radius"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise InputError(f"{name} must be >= 1, got {value}")
@@ -312,7 +314,7 @@ def _empirical(family: Family, h: int, cfg: HConfig) -> Outcome:
     """Two-scale truncation comparison when no certificate exists."""
     core = normalize(family.intersection())
     passes = []
-    for scale in (1, cfg.deep_scale):
+    for scale in (1, DEEP_SCALE):
         win = cfg.window.scaled(scale) if scale != 1 else cfg.window
         Q = cfg.Q * scale
         if family.depth is not None:
@@ -600,31 +602,3 @@ def pullback_check(
         h_in_group=tuple(v.in_H for v in group_verdicts),
         h_in_integers=tuple(v.in_H for v in report.verdicts),
     )
-
-
-# ---------------------------------------------------------------------------
-# scaling comparison
-
-
-@dataclass(frozen=True)
-class ScaledComparison:
-    """Side-by-side reports under dilation; no relation is asserted."""
-
-    factor: int
-    base: HReport
-    scaled: HReport
-
-
-def compare_scaled(
-    family: Family, factor: int, h_max: int, config: HConfig | None = None
-) -> ScaledComparison:
-    cfg = config or HConfig()
-    base = compute_H(family, h_max, cfg)
-    k = abs(factor)
-    scaled_cfg = replace(
-        cfg,
-        window=cfg.window.scaled(k),
-        gen_radius=None if cfg.gen_radius is None else cfg.gen_radius * k,
-    )
-    scaled = compute_H(ScaledFamily(family, factor), h_max, scaled_cfg)
-    return ScaledComparison(factor=factor, base=base, scaled=scaled)

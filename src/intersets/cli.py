@@ -111,10 +111,9 @@ def _read_family(source: str):
 
 def _cmd_hset(args) -> int:
     family = _read_family(args.family)
-    cfg = HConfig()
     cfg = HConfig(
-        Q=args.Q if args.Q is not None else cfg.Q,
-        window=args.window if args.window is not None else cfg.window,
+        Q=HConfig.Q if args.Q is None else args.Q,
+        window=HConfig.window if args.window is None else args.window,
         gen_radius=args.gen_radius,
     )
     report = compute_H(family, args.hmax, cfg)

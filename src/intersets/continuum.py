@@ -9,9 +9,8 @@ plus (sums of h perturbations) instead of tuples over the full point set.
 
 Interval families use a common denominator too: D = Q times the lcm of
 the base points' denominators, so every endpoint b +- 1/Q of layer Q is
-an integer over D.  One set of interval helpers (merge, intersect,
-Minkowski sum) serves both the integer verifier and the Fraction
-`IntervalUnion` API; Fractions appear only in reports.
+an integer over D, and the interval helpers (merge, Minkowski sum,
+h-fold) run on those integers; Fractions appear only in reports.
 
 Both families decrease: layer q + 1 lies inside layer q, since its
 perturbations 1/r run over r >= q + 1 and its intervals b +- 1/(q+1) are
@@ -90,24 +89,6 @@ class RationalPerturbFamily:
     @property
     def points(self) -> tuple[int, ...]:
         return self.base_points[: self.n_max]
-
-
-def rational_family_set(family: RationalPerturbFamily, q: int) -> list[Fraction]:
-    """All layer-q points under the family's materialization bounds."""
-    if q < 1:
-        raise InputError(f"layer index must be >= 1, got {q}")
-    if q > family.r_max:
-        raise InputError(
-            f"layer {q} has no perturbations within r_max={family.r_max}"
-        )
-    out = []
-    for b in family.points:
-        if family.include_base:
-            out.append(Fraction(b))
-        for r in range(q, family.r_max + 1):
-            out.append(b + Fraction(1, r))
-            out.append(b - Fraction(1, r))
-    return sorted(out)
 
 
 def _perturbation_offsets(q: int, r_max: int, denom: int, with_zero: bool) -> list[int]:
@@ -270,8 +251,8 @@ def verify_rational_theorem(
 # open interval unions
 #
 # The helpers below take sorted tuples of open (lo, hi) pairs and never
-# coerce endpoints: IntervalUnion runs them on Fractions, and
-# verify_open_theorem on integers over a common denominator.
+# coerce endpoints; verify_open_theorem runs them on integers over a
+# common denominator.
 
 
 def _merge(pairs) -> tuple:
@@ -286,22 +267,6 @@ def _merge(pairs) -> tuple:
         else:
             merged.append((a, b))
     return tuple(merged)
-
-
-def _intersect(xs, ys) -> tuple:
-    """Intersection of two merged unions in one sweep."""
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        (a, b), (c, d) = xs[i], ys[j]
-        lo, hi = max(a, c), min(b, d)
-        if lo < hi:
-            out.append((lo, hi))
-        if b <= d:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
 
 
 def _minkowski(xs, ys) -> tuple:
@@ -326,50 +291,6 @@ def _layer(points, r, punctured: bool) -> tuple:
     if punctured:
         return _merge(p for b in points for p in ((b - r, b), (b, b + r)))
     return _merge((b - r, b + r) for b in points)
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Disjoint open intervals with rational endpoints, sorted.
-
-    Overlapping intervals merge; intervals that merely touch stay apart,
-    since (a,b) | (b,c) misses b.
-    """
-
-    intervals: tuple[Interval, ...] = ()
-
-    @staticmethod
-    def build(pairs) -> "IntervalUnion":
-        return IntervalUnion(_merge((Fraction(a), Fraction(b)) for a, b in pairs))
-
-    def contains(self, x) -> bool:
-        return _contains(self.intervals, Fraction(x))
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(_merge(self.intervals + other.intervals))
-
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(_intersect(self.intervals, other.intervals))
-
-
-def minkowski_hfold(u: IntervalUnion, h: int) -> IntervalUnion:
-    """Exact h-fold Minkowski sum; (a,b)+(c,d) = (a+c, b+d) throughout."""
-    if h < 1:
-        raise InputError(f"h must be >= 1, got {h}")
-    return IntervalUnion(_hfold(u.intervals, h))
-
-
-def interval_layer(points, q: int, punctured: bool = True) -> IntervalUnion:
-    """Layer q of an open-interval family around the base points.
-
-    Punctured: (b - 1/q, b) | (b, b + 1/q) per point; otherwise the full
-    interval (b - 1/q, b + 1/q).
-    """
-    if q < 1:
-        raise InputError(f"layer index must be >= 1, got {q}")
-    return IntervalUnion(
-        _layer([Fraction(b) for b in points], Fraction(1, q), punctured)
-    )
 
 
 @dataclass(frozen=True)

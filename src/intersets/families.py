@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from inspect import signature
 
 from .errors import CapError, ConstructionError, InputError
 from .symbolic import (
@@ -24,10 +23,8 @@ from .symbolic import (
     Empty,
     Finite,
     IntSet,
-    Window,
     affine,
     bounds,
-    check_cap,
     co_interval_bounds,
     cofinite,
     congruence,
@@ -37,7 +34,6 @@ from .symbolic import (
     mask_members,
     normalize,
     scale_set,
-    spiral_first,
     spiral_key,
     tail,
     union,
@@ -461,73 +457,6 @@ class ProductFamily:
 
 
 # ---------------------------------------------------------------------------
-# chain diagnostics
-
-
-@dataclass(frozen=True)
-class ChainCheck:
-    q: int
-    contained: bool
-    certified: bool
-    strict_witness: int | None
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    checks: tuple[ChainCheck, ...]
-    decreasing: bool
-    strictly_decreasing: bool
-    asymptotically_strict: bool  # within the tested range: no trailing constant run
-
-    @property
-    def witnesses(self) -> tuple[int | None, ...]:
-        return tuple(c.strict_witness for c in self.checks)
-
-
-def classify_monotonicity(
-    family: Family, depth: int = 8, window: Window | None = None
-) -> ChainReport:
-    """Verify each A_{q+1} <= A_q and hunt for strictness witnesses.
-
-    Containment is certified by the symbolic subset test where it applies
-    and otherwise checked on windows.  Witness search widens its window a
-    few times before giving up, so a None witness is evidence of layer
-    equality, not proof.
-    """
-    if family.depth is not None:
-        depth = min(depth, family.depth - 1)
-    if window is not None:
-        windows = (window,)
-    else:
-        windows = tuple(Window(-r, r) for r in (16, 64, 256, 1024))
-    checks = []
-    nxt = family.set_at(1)
-    for q in range(1, depth + 1):
-        cur, nxt = nxt, family.set_at(q + 1)
-        certified = is_subset(nxt, cur)
-        checked = True
-        witness = None
-        for w in windows:
-            check_cap(w)
-            cur_b, nxt_b = window_bits(cur, w.lo, w.hi), window_bits(nxt, w.lo, w.hi)
-            if nxt_b & ~cur_b:
-                checked = False
-                break
-            if gone := cur_b & ~nxt_b:
-                witness = spiral_first(gone, w.lo)
-                break
-        checks.append(ChainCheck(q, certified or checked, certified, witness))
-    decreasing = all(c.contained for c in checks)
-    strict = decreasing and all(c.strict_witness is not None for c in checks)
-    run = 0
-    for c in reversed(checks):
-        if c.strict_witness is not None:
-            break
-        run += 1
-    return ChainReport(tuple(checks), decreasing, strict, decreasing and run == 0)
-
-
-# ---------------------------------------------------------------------------
 # construction from tagged parameters
 
 
@@ -546,13 +475,3 @@ def family_class(kind) -> type:
             f"unknown family kind {kind!r}; expected one of {sorted(FAMILY_KINDS)}"
         )
     return cls
-
-
-def build(kind: str, params: dict) -> Family | ProductFamily:
-    """The family of the given kind, from its fields' values by name."""
-    cls = family_class(kind)
-    try:
-        signature(cls).bind(**params)
-    except TypeError as exc:  # a missing or unknown field
-        raise ConstructionError(f"family kind {kind!r}: {exc}") from None
-    return cls(**params)

@@ -105,10 +105,3 @@ def _group_verdicts(
         )
         out.append(GroupHVerdict(h, fold == layer_fold, fold, layer_fold))
     return tuple(out)
-
-
-def covering_orders(g: FiniteGroupTable, subset, h_max: int) -> list[int]:
-    """All h up to h_max whose h-fold sums exhaust the group."""
-    full = frozenset(range(g.order))
-    folds = group_hfolds(g, subset, h_max)
-    return [h for h, fold in enumerate(folds, 1) if fold == full]

@@ -146,29 +146,6 @@ def lattice_hfold_sum(points, h: int, box: Box) -> LatticeFold:
     return LatticeFold(members, complete)
 
 
-def lattice_rep_count(points, h: int, target) -> int:
-    """Ordered h-tuples of the given points summing to the target."""
-    if h < 1:
-        raise InputError(f"h must be >= 1, got {h}")
-    pts = [_as_coords(p) for p in points]
-    t = _as_coords(target)
-    counts: dict[Coords, int] = {}
-    for p in pts:
-        counts[p] = counts.get(p, 0) + 1
-    for _ in range(h - 1):
-        nxt: dict[Coords, int] = {}
-        for v, c in counts.items():
-            for p in pts:
-                s = tuple(x + y for x, y in zip(v, p))
-                # partial sums beyond the target on any axis are dead ends
-                # only when coordinates cannot decrease
-                nxt[s] = nxt.get(s, 0) + c
-        if len(nxt) > _CELL_CAP:
-            raise CapError(f"count table exceeded {_CELL_CAP} cells")
-        counts = nxt
-    return counts.get(t, 0)
-
-
 # ---------------------------------------------------------------------------
 # minimum-norm inequality
 

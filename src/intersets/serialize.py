@@ -22,7 +22,7 @@ import json
 from functools import cache
 from inspect import signature
 
-from .analyzer import HConfig, HReport, HVerdict
+from .analyzer import DEEP_SCALE, HConfig, HReport, HVerdict
 from .errors import ConstructionError, ParseError
 from .families import Family, ProductFamily, family_class
 from .symbolic import (
@@ -253,7 +253,7 @@ def report_to_json(report: HReport) -> dict:
             "Q": str(cfg.Q),
             "window": _window_to_json(cfg.window),
             "gen_radius": _emit(cfg.gen_radius),
-            "deep_scale": str(cfg.deep_scale),
+            "deep_scale": str(DEEP_SCALE),
         },
         "verdicts": [
             {
@@ -273,11 +273,13 @@ def report_to_json(report: HReport) -> dict:
 
 def report_from_json(d) -> HReport:
     try:
+        deep = d["config"].get("deep_scale", DEEP_SCALE)
+        if _num(deep) != DEEP_SCALE:
+            raise ParseError(f"report deep_scale must be {DEEP_SCALE}, got {deep!r}")
         cfg = HConfig(
             Q=_num(d["config"]["Q"]),
             window=_window_from_json(d["config"]["window"]),
             gen_radius=_opt_num(d["config"].get("gen_radius")),
-            deep_scale=_num(d["config"].get("deep_scale", 2)),
         )
         verdicts = tuple(
             HVerdict(

@@ -29,7 +29,7 @@ EXPAND_CAP = 10_000
 LCM_CAP = 1_000_000
 MATERIALIZE_CAP = 2_000_000
 _DISTRIBUTE_CAP = 16
-# points min_element scans above a known lower bound
+# points min_element and max_element read past a known bound
 _ELEMENT_SEARCH = 65536
 # entries of the normalize memo: one pass of all 16 verify scenarios
 # fills 5,347 to 5,366 at seeds 0, 5 and 7
@@ -482,15 +482,17 @@ def min_element(s: IntSet) -> int | None:
     lo, _ = bounds(s)
     if lo is None:
         return None
-    for x in range(lo, lo + _ELEMENT_SEARCH + 1):
-        if contains(s, x):
-            return x
-    return None
+    bits = window_bits(s, lo, lo + _ELEMENT_SEARCH)
+    return lo + (bits & -bits).bit_length() - 1 if bits else None
 
 
 def max_element(s: IntSet) -> int | None:
-    m = min_element(negate(s))
-    return None if m is None else -m
+    """Largest element when an upper bound is known and attained nearby."""
+    _, hi = bounds(s)
+    if hi is None:
+        return None
+    bits = window_bits(s, hi - _ELEMENT_SEARCH, hi)
+    return hi - _ELEMENT_SEARCH + bits.bit_length() - 1 if bits else None
 
 
 def is_infinite(s: IntSet) -> bool | None:

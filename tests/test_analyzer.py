@@ -1,4 +1,4 @@
-"""H-set reports: certificates, witnesses, transport, pullback, scaling."""
+"""H-set reports: certificates, witnesses, transport, pullback, scaled families."""
 
 import itertools
 
@@ -26,7 +26,6 @@ from intersets import (
     HalfTailFamily,
     ScaledFamily,
     Window,
-    compare_scaled,
     compute_H,
     compute_H_product,
     congruence,
@@ -191,7 +190,7 @@ def test_hconfig_defaults():
 
 
 @pytest.mark.parametrize(
-    "field", [{"Q": 0}, {"Q": -3}, {"deep_scale": 0}, {"gen_radius": 0}], ids=str
+    "field", [{"Q": 0}, {"Q": -3}, {"gen_radius": 0}], ids=str
 )
 def test_hconfig_rejects_values_below_one(field):
     with pytest.raises(InputError):
@@ -595,28 +594,32 @@ def test_pullback_builds_each_ladder_once(monkeypatch):
     assert sorted(built) == [(0,), (0, 1), (0, 2)]
 
 
-# -- scaling comparison -----------------------------------------------------
+# -- scaled families --------------------------------------------------------
 
 
-def test_compare_scaled_frozen():
-    cmp = compare_scaled(TailFamily(FOURZ1), 3, 4)
-    assert cmp.base.statuses == (
+def test_scaled_family_report_frozen():
+    base = compute_H(TailFamily(FOURZ1), 4)
+    # the window grows with the dilation, so the scaled report sees as much
+    scaled = compute_H(
+        ScaledFamily(TailFamily(FOURZ1), 3), 4, HConfig(window=Window(-72, 72))
+    )
+    assert base.statuses == (
         CERTIFIED_IN,
         CERTIFIED_OUT,
         CERTIFIED_OUT,
         CERTIFIED_IN,
     )
-    assert cmp.scaled.statuses == (
+    assert scaled.statuses == (
         CERTIFIED_IN,
         UNDETERMINED,
         UNDETERMINED,
         EMPIRICAL_EQUAL,
     )
-    assert [v.witness for v in cmp.scaled.verdicts] == [None, -3, -3, None]
+    assert [v.witness for v in scaled.verdicts] == [None, -3, -3, None]
     # the scaled candidates really are the scaled base witnesses
     assert [3 * w if w is not None else None for w in
-            [v.witness for v in cmp.base.verdicts]] == [
-        v.witness for v in cmp.scaled.verdicts
+            [v.witness for v in base.verdicts]] == [
+        v.witness for v in scaled.verdicts
     ]
 
 
@@ -714,5 +717,5 @@ def test_layers_are_built_once_per_family():
     inner.set_at = lambda q: calls.append(q) or build(q)
     compute_H(ScaledFamily(inner, 3), 4)
     # nested layers meet at the deepest one: for each h > 1 the two passes
-    # of _empirical fold layer Q = 8 and layer Q * deep_scale = 16 alone
+    # of _empirical fold layer Q = 8 and layer Q * DEEP_SCALE = 16 alone
     assert calls == [8, 16] * 3

@@ -45,6 +45,43 @@ def test_hset_json_round_trips(family_file, capsys):
     assert rep.verdicts[1].witness == -1
 
 
+# no member of the second part lies within _ELEMENT_SEARCH of its bound 1,
+# so the least-element fallback reads the whole search range
+FAR_MEMBERS_JSON = {
+    "family": "explicit",
+    "sets": [
+        {
+            "kind": "union",
+            "parts": [
+                {"kind": "half-tail", "threshold": "1000000"},
+                {
+                    "kind": "intersection",
+                    "parts": [
+                        {"kind": "congruence", "modulus": "70001", "residues": ["0"]},
+                        {"kind": "half-tail", "threshold": "1"},
+                    ],
+                },
+            ],
+        }
+    ],
+}
+
+
+def test_hset_far_members_frozen(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(FAR_MEMBERS_JSON))
+    assert main(["hset", "--family", str(path), "--hmax", "4"]) == 0
+    rows = [
+        "1\tCertifiedIn\t-\t1-fold sums are the sets themselves; "
+        "the chain intersection matches by construction\t8\t-24:24"
+    ] + [
+        f"{h}\tEmpiricalEqual\t-\ttruncated layer intersections match the "
+        f"{h}-fold sumset at (Q=1, [-24,24]) and (Q=1, [-48,48])\t8\t-24:24"
+        for h in (2, 3, 4)
+    ]
+    assert capsys.readouterr().out == "\n".join(["\t".join(TSV_COLUMNS), *rows, ""])
+
+
 def test_hset_out_file(family_file, tmp_path, capsys):
     out = tmp_path / "report.tsv"
     assert main(["hset", "--family", family_file, "--out", str(out)]) == 0

@@ -9,12 +9,8 @@ import pytest
 from intersets import (
     ConstructionError,
     InputError,
-    IntervalUnion,
     InvariantError,
     RationalPerturbFamily,
-    interval_layer,
-    minkowski_hfold,
-    rational_family_set,
     verify_open_theorem,
     verify_rational_theorem,
 )
@@ -38,24 +34,6 @@ def test_base_point_gates():
     with pytest.raises(ConstructionError):
         RationalPerturbFamily((4, 8), r_max=0)
     RationalPerturbFamily((4, 8, 12))
-
-
-def test_rational_family_set():
-    fam = RationalPerturbFamily((4,), r_max=3)
-    got = rational_family_set(fam, 2)
-    expect = sorted(
-        [4 + Fraction(1, r) for r in (2, 3)] + [4 - Fraction(1, r) for r in (2, 3)]
-    )
-    assert got == expect
-    assert Fraction(4) not in got
-    with_base = rational_family_set(
-        RationalPerturbFamily((4,), include_base=True, r_max=3), 3
-    )
-    assert Fraction(4) in with_base
-    with pytest.raises(InputError):
-        rational_family_set(fam, 0)
-    with pytest.raises(InputError):
-        rational_family_set(fam, 4)  # beyond r_max, the layer has no points
 
 
 # -- rational truncation runs -----------------------------------------------
@@ -214,74 +192,6 @@ def test_rational_theorem_intersects_layers_that_do_not_nest(monkeypatch):
         verify_rational_theorem(fam, 2, 5, (0, 40))
 
 
-# -- interval unions --------------------------------------------------------
-
-
-def test_interval_union_merging():
-    u = IntervalUnion.build([(0, 2), (1, 3)])
-    assert u.intervals == ((Fraction(0), Fraction(3)),)
-    # touching intervals stay apart: their shared endpoint is missing
-    v = IntervalUnion.build([(0, 1), (1, 2)])
-    assert len(v.intervals) == 2
-    assert v.contains(Fraction(1, 2)) and v.contains(Fraction(3, 2))
-    assert not v.contains(1)
-    assert not v.contains(0) and not v.contains(2)
-    assert IntervalUnion.build([(1, 1)]).intervals == ()
-
-
-def test_interval_union_operations():
-    a = IntervalUnion.build([(0, 2), (5, 7)])
-    b = IntervalUnion.build([(1, 6)])
-    assert a.intersect(b).intervals == (
-        (Fraction(1), Fraction(2)),
-        (Fraction(5), Fraction(6)),
-    )
-    assert a.union(b).intervals == ((Fraction(0), Fraction(7)),)
-    m = minkowski_hfold(IntervalUnion.build([(0, 1)]), 2)
-    assert m.intervals == ((Fraction(0), Fraction(2)),)
-
-
-@pytest.mark.parametrize(
-    "points", [(4,), (4, 8, 12), (Fraction(1, 2), 3, Fraction(-7, 3))]
-)
-@pytest.mark.parametrize("q", [1, 2, 3, 7])
-def test_interval_layer_pairs(points, q):
-    # the points lie more than 2/q apart, so no pairs merge
-    r = Fraction(1, q)
-    bs = sorted(map(Fraction, points))
-    assert interval_layer(points, q).intervals == tuple(
-        p for b in bs for p in ((b - r, b), (b, b + r))
-    )
-    assert interval_layer(points, q, punctured=False).intervals == tuple(
-        (b - r, b + r) for b in bs
-    )
-
-
-def test_interval_layer_merges_close_points():
-    # at q = 1 the points 0 and 1 share the pair (0, 1)
-    assert interval_layer([0, 1], 1).intervals == ((-1, 0), (0, 1), (1, 2))
-    assert interval_layer([0, 1], 1, punctured=False).intervals == ((-1, 2),)
-    assert interval_layer([0, 1], 3, punctured=False).intervals == (
-        (Fraction(-1, 3), Fraction(1, 3)),
-        (Fraction(2, 3), Fraction(4, 3)),
-    )
-
-
-def test_minkowski_hfold_merges_punctures():
-    layer = interval_layer([4], 2)
-    assert layer.intervals == (
-        (Fraction(7, 2), Fraction(4)),
-        (Fraction(4), Fraction(9, 2)),
-    )
-    assert not layer.contains(4)
-    # the three pairwise sums overlap and close the gap over 8
-    fold = minkowski_hfold(layer, 2)
-    assert fold.intervals == ((Fraction(7), Fraction(9)),)
-    assert fold.contains(8)
-    with pytest.raises(InputError):
-        minkowski_hfold(layer, 0)
-
-
 # -- open-interval truncation runs ------------------------------------------
 
 
@@ -434,7 +344,6 @@ def test_interval_helpers_commute_with_scaling(seed):
     xs, ys = continuum._merge(raw_x), continuum._merge(raw_y)
     xs_s, ys_s = continuum._merge(scaled(raw_x)), continuum._merge(scaled(raw_y))
     assert xs_s == scaled(xs) and ys_s == scaled(ys)
-    assert continuum._intersect(xs_s, ys_s) == scaled(continuum._intersect(xs, ys))
     got, got_f = continuum._minkowski(xs_s, ys_s), continuum._minkowski(xs, ys)
     assert got == scaled(got_f)
     # endpoints keep their type: no coercion on either side
@@ -453,7 +362,7 @@ def test_interval_helpers_match_pointwise_membership(seed):
     raw_x, raw_y = _random_pairs(rng, denom), _random_pairs(rng, denom)
     xs, ys = continuum._merge(raw_x), continuum._merge(raw_y)
     sums = continuum._minkowski(xs, ys)
-    for u in (xs, ys, continuum._intersect(xs, ys), sums):
+    for u in (xs, ys, sums):
         # sorted, disjoint and nonempty: a touch point stays outside
         assert all(a < b for a, b in u)
         assert all(b <= c for (_, b), (c, _) in zip(u, u[1:]))
@@ -461,9 +370,6 @@ def test_interval_helpers_match_pointwise_membership(seed):
     for k in range(-200, 201):
         x = Fraction(k, 2 * denom)
         assert continuum._contains(xs, x) == _within(raw_x, x)
-        assert continuum._contains(continuum._intersect(xs, ys), x) == (
-            _within(raw_x, x) and _within(raw_y, x)
-        )
         assert continuum._contains(sums, x) == any(
             a + c < x < b + d for a, b in raw_x for c, d in raw_y if a < b and c < d
         )

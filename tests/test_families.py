@@ -1,4 +1,4 @@
-"""Layer family constructions, gates, chain diagnostics, builder round trips."""
+"""Layer family constructions, gates, and document round trips."""
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from intersets import (
     ScaledFamily,
     TailFamily,
     Window,
-    classify_monotonicity,
     cofinite,
     congruence,
     finite,
@@ -29,8 +28,8 @@ from intersets import (
     tail,
     union,
 )
-from intersets.families import build
-from oracles import members, spiral
+from intersets.serialize import family_from_json, family_to_json
+from oracles import spiral
 
 
 # -- construction gates -----------------------------------------------------
@@ -82,11 +81,13 @@ def test_affine_scaled_gates():
 
 def test_builder_gates():
     with pytest.raises(ConstructionError):
-        build("mystery", {})
+        family_from_json({"family": "mystery"})
     with pytest.raises(ConstructionError):
-        build("coset-tail", {"subgroup_step": 3})
+        family_from_json({"family": "coset-tail", "subgroup_step": "3"})
     with pytest.raises(ConstructionError):
-        build("coset-tail", {"subgroup_step": 3, "coset_base": 1, "junk": 0})
+        family_from_json(
+            {"family": "coset-tail", "subgroup_step": "3", "coset_base": "1", "junk": "0"}
+        )
 
 
 # -- layer shapes -----------------------------------------------------------
@@ -231,72 +232,6 @@ def test_layer_index_gates():
         fam.set_at(0)
 
 
-# -- chain diagnostics ------------------------------------------------------
-
-
-def test_classify_monotonicity_strict():
-    rep = classify_monotonicity(TailFamily(finite([0, 1])), depth=5)
-    assert rep.decreasing and rep.strictly_decreasing and rep.asymptotically_strict
-    # layer q keeps |x| >= q, layer q+1 drops exactly -q and q
-    assert rep.witnesses == (-1, -2, -3, -4, -5)
-    assert all(c.certified for c in rep.checks)
-
-
-def test_classify_monotonicity_stalls():
-    # identical layers: decreasing but never strict
-    fam = ExplicitFamily([half_tail(0), half_tail(0), half_tail(0)])
-    rep = classify_monotonicity(fam, depth=5)
-    assert rep.decreasing
-    assert not rep.strictly_decreasing
-    assert not rep.asymptotically_strict
-    assert len(rep.checks) == 2  # clamped to depth - 1
-
-
-def test_classify_monotonicity_not_decreasing():
-    fam = ExplicitFamily([half_tail(2), half_tail(0)])
-    rep = classify_monotonicity(fam, depth=3)
-    assert not rep.decreasing
-
-
-def _chain_oracle(fam, q, windows):
-    """(contained, witness) for layers q and q + 1 as classify_monotonicity
-    defines them, from `contains` scans in oracle spiral order."""
-    outer = Window(-windows[-1], windows[-1])
-    cur = set(members(fam.set_at(q), outer))
-    nxt = set(members(fam.set_at(q + 1), outer))
-    for r in windows:
-        if any(x in nxt and x not in cur for x in range(-r, r + 1)):
-            return False, None
-        gone = [x for x in spiral(Window(-r, r)) if x in cur and x not in nxt]
-        if gone:
-            return True, gone[0]
-    return True, None
-
-
-@pytest.mark.parametrize(
-    "fam",
-    [
-        TailFamily(union(congruence(4, (0,)), finite([1]))),
-        HalfTailFamily(finite([-2, 5])),
-        CongruenceChainFamily((0, 1, 3), m1=7),
-        CosetTailFamily(3, 2),
-        EnumerationFamily(finite([0, 1, -4])),
-        AffineFamily(-1, 3, TailFamily(finite([0, 2]))),
-        ScaledFamily(TailFamily(finite([0, 1])), 40),
-        ExplicitFamily([half_tail(0), half_tail(2), half_tail(0)]),
-    ],
-    ids=lambda fam: fam.kind,
-)
-def test_classify_monotonicity_matches_oracle(fam):
-    windows = (16, 64, 256, 1024)
-    rep = classify_monotonicity(fam, depth=4)
-    assert rep.checks
-    for c in rep.checks:
-        contained, witness = _chain_oracle(fam, c.q, windows)
-        assert c.strict_witness == witness
-        assert c.contained == (c.certified or contained)
-
-
 # -- params round trips -----------------------------------------------------
 
 ROUND_TRIP = [
@@ -313,7 +248,7 @@ ROUND_TRIP = [
 
 @pytest.mark.parametrize("fam", ROUND_TRIP, ids=lambda f: f.kind)
 def test_params_rebuild_same_layers(fam):
-    twin = build(fam.kind, fam.params())
+    twin = family_from_json(family_to_json(fam))
     for q in (1, 2, 3)[: fam.depth or 3]:
         assert twin.set_at(q) == fam.set_at(q)
     assert twin.intersection() == fam.intersection()

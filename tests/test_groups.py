@@ -6,7 +6,6 @@ from intersets import (
     ConstructionError,
     DomainError,
     FiniteGroupTable,
-    covering_orders,
     group_H_explicit,
     group_hfold,
     group_hfolds,
@@ -145,9 +144,3 @@ def test_group_hfold_errors_are_unchanged():
             group_hfold(g, bad, 2)
         with pytest.raises(DomainError, match="subset indices must lie inside"):
             group_hfolds(g, bad, 3)
-
-
-def test_covering_orders():
-    assert covering_orders(FiniteGroupTable.cyclic(4), {0, 1}, 5) == [3, 4, 5]
-    assert covering_orders(FiniteGroupTable.cyclic(3), {0, 1}, 4) == [2, 3, 4]
-    assert covering_orders(FiniteGroupTable.cyclic(3), {1}, 4) == []

@@ -12,7 +12,6 @@ from intersets import (
     LatticePoint,
     NormTailFamily,
     lattice_hfold_sum,
-    lattice_rep_count,
     min_norm_inequality,
     verify_lattice_theorem,
 )
@@ -77,28 +76,6 @@ def test_lattice_hfold_cell_cap(monkeypatch):
     grid = [(i, j) for i in range(8) for j in range(8)]
     with pytest.raises(CapError):
         lattice_hfold_sum(grid, 2, Box.cube(0, 100, 2))
-    with pytest.raises(CapError):
-        lattice_rep_count(grid, 2, (3, 3))
-
-
-def test_lattice_rep_count():
-    assert lattice_rep_count([(0, 0), (1, 0), (0, 1), (1, 1)], 2, (1, 1)) == 4
-    assert lattice_rep_count([(1, 0)], 3, (3, 0)) == 1
-    assert lattice_rep_count([(1, 0)], 3, (2, 0)) == 0
-
-
-def test_lattice_rep_count_matches_exhaustion():
-    from itertools import product
-
-    pts = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
-    for h in (2, 3):
-        for target in product(range(4), repeat=2):
-            brute = sum(
-                1
-                for combo in product(pts, repeat=h)
-                if tuple(map(sum, zip(*combo))) == target
-            )
-            assert lattice_rep_count(pts, h, target) == brute
 
 
 def test_min_norm_inequality():

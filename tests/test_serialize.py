@@ -150,6 +150,18 @@ def test_report_round_trip_product():
     assert back.verdicts[1].witness == (-1, 0)
 
 
+def test_report_deep_scale_is_fixed():
+    j = report_to_json(compute_H(TailFamily(EMPTY), 2))
+    assert j["config"]["deep_scale"] == "2"
+    rep = report_from_json(j)
+    assert report_from_json({**j, "config": {**j["config"], "deep_scale": 2}}) == rep
+    absent = {k: v for k, v in j["config"].items() if k != "deep_scale"}
+    assert report_from_json({**j, "config": absent}) == rep
+    for bad in ("3", "0", 1, None):
+        with pytest.raises(ParseError):
+            report_from_json({**j, "config": {**j["config"], "deep_scale": bad}})
+
+
 def test_report_tsv_shape():
     rep = compute_H(TailFamily(EMPTY), 2)
     lines = report_to_tsv(rep).splitlines()

@@ -320,6 +320,37 @@ def test_bounds_bracket_every_member(s):
             assert hi is None or x <= hi
 
 
+@given(raw_sets, st.integers(0, 40))
+@settings(max_examples=150)
+def test_min_max_element_match_a_contains_scan(s, search):
+    # the same range as a scan of `contains` from the known bound inward;
+    # a narrow search leaves some members of these sets out of reach
+    lo, hi = bounds(s)
+    least = None if lo is None else next(
+        (x for x in range(lo, lo + search + 1) if contains(s, x)), None
+    )
+    most = None if hi is None else next(
+        (x for x in range(hi, hi - search - 1, -1) if contains(s, x)), None
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "_ELEMENT_SEARCH", search)
+        assert symbolic.min_element(s) == least
+        assert symbolic.max_element(s) == most
+
+
+def test_min_max_element_read_one_mask(monkeypatch):
+    # no member within the search of either bound: the whole range is read
+    far = Intersection((congruence(70001, (0,)), HalfTail(1)))
+    term = Union((HalfTail(10**6), far))
+    calls = []
+    monkeypatch.setattr(symbolic, "contains", lambda s, x: calls.append(x))
+    assert symbolic.min_element(term) is None
+    assert symbolic.max_element(negate(far)) is None
+    assert symbolic.min_element(HalfTail(10**6)) == 10**6
+    assert symbolic.max_element(Union((down_tail(-5), finite([7])))) == 7
+    assert calls == []
+
+
 def test_bounds_visits_each_part_once(monkeypatch):
     # eight nested intersections: one visit per term, not 2 ** 8 at the core
     term = HalfTail(0)
