@@ -175,17 +175,18 @@ def compute_H(
 
 def _verdict_h(family: Family, h: int, cfg: HConfig) -> HVerdict:
     core = normalize(family.intersection())
-    cert = family.certificate(h)
-    cset: IntSet | None = None
+    # the 1-fold sums are the layers themselves: the core certifies h = 1
+    cert = None if h == 1 else family.certificate(h)
+    cset = core if h == 1 else (normalize(cert.closed_form) if cert else None)
     sample: int | None = None
     empty: bool | None = None
-    if cert is not None:
-        cset = normalize(cert.closed_form)
+    if cset is not None:
         if isinstance(cset, Empty):
             empty = True
         else:
             sample = _sample_member(cset, cfg.window)
-            if sample is not None:
+            # at h = 1 a core whose normal form is not Empty is nonempty
+            if sample is not None or h == 1:
                 empty = False
 
     if h == 1:
@@ -195,10 +196,6 @@ def _verdict_h(family: Family, h: int, cfg: HConfig) -> HVerdict:
             "1-fold sums are the sets themselves; the chain intersection "
             "matches by construction",
         )
-        if sample is None:
-            sample = _sample_member(core, cfg.window)
-        if empty is None:
-            empty = isinstance(core, Empty)
     elif cert is not None:
         radius = cfg.gen_radius
         if radius is not None:
@@ -367,9 +364,10 @@ def verify_out_witness(family: Family, h: int, x: int) -> bool:
     """Independent re-check of a CertifiedOut witness.
 
     Confirms x is in the certificate's closed form and certifiably absent
-    from the h-fold sums of the intersection.
+    from the h-fold sums of the intersection.  No h = 1 verdict is
+    CertifiedOut, and certificates start at h = 2.
     """
-    cert = family.certificate(h)
+    cert = family.certificate(h) if h > 1 else None
     if cert is None or not contains(cert.closed_form, x):
         return False
     core = normalize(family.intersection())
@@ -554,18 +552,16 @@ def pullback_check(
 ) -> PullbackReport:
     """Residue arithmetic against its preimage under reduction mod m.
 
-    For each layer B and h: the h-fold sums of {x : x mod m in B} must be
-    exactly {x : x mod m in hB}, checked structurally and, where the closed
-    form is not structurally equal, on the window.  H of the residue chain,
-    computed exhaustively in Z/mZ from the same ladders hB, must agree with
-    H of the preimage chain, built from the same congruences.
+    `layers` is an iterable of residue layers, each an iterable of ints;
+    a generator of layers is read once.  For each layer B and h: the h-fold
+    sums of {x : x mod m in B} must be exactly {x : x mod m in hB}, checked
+    structurally and, where the closed form is not structurally equal, on
+    the window.  H of the residue chain, computed exhaustively in Z/mZ from
+    the same ladders hB, must agree with H of the preimage chain, built
+    from the same congruences.
     """
     if m < 2:
         raise InputError(f"modulus must be >= 2, got {m}")
-    # a generator is read once, so list it before testing for a flat list
-    layers = list(layers)
-    if all(isinstance(x, int) for x in layers):
-        layers = [layers]
     chain = [frozenset(x % m for x in layer) for layer in layers]
     if not chain or any(not layer for layer in chain):
         raise InputError("residue layers must be nonempty")

@@ -69,7 +69,6 @@ class RationalPerturbFamily:
 
     base_points: tuple[int, ...]
     include_base: bool = False
-    n_max: int | None = None
     r_max: int = 16
 
     def __post_init__(self):
@@ -77,18 +76,8 @@ class RationalPerturbFamily:
         if any(not isinstance(b, int) for b in pts):
             raise ConstructionError("base points must be integers")
         object.__setattr__(self, "base_points", pts)
-        n = len(pts) if self.n_max is None else self.n_max
-        if not 1 <= n <= len(pts):
-            raise ConstructionError(
-                f"n_max must be between 1 and {len(pts)}, got {self.n_max}"
-            )
-        object.__setattr__(self, "n_max", n)
         if self.r_max < 1:
             raise ConstructionError(f"r_max must be >= 1, got {self.r_max}")
-
-    @property
-    def points(self) -> tuple[int, ...]:
-        return self.base_points[: self.n_max]
 
 
 def _perturbation_offsets(q: int, r_max: int, denom: int, with_zero: bool) -> list[int]:
@@ -196,7 +185,7 @@ def verify_rational_theorem(
     denom = math.lcm(*range(1, r_max + 1))
     # sv + f is an integer, so it lies in [lo*D, hi*D] iff in [lo_s, hi_s]
     lo_s, hi_s = math.ceil(lo * denom), math.floor(hi * denom)
-    base = _base_sums(family.points, h, lo - h, hi + h)
+    base = _base_sums(family.base_points, h, lo - h, hi + h)
     base_scaled = [int(s) * denom for s in base]
 
     # layer q is the union of sv + F_q over the base sums, so nested

@@ -46,7 +46,6 @@ from .sumsets import _closed_hfold
 class TailCertificate:
     """Closed form for the intersection over all q of the h-fold layer sums."""
 
-    h: int
     closed_form: IntSet
     provenance: str
 
@@ -75,8 +74,11 @@ class Family(ABC):
         """The exact intersection of all layers."""
 
     def certificate(self, h: int) -> TailCertificate | None:
-        if h == 1:
-            return TailCertificate(1, self.intersection(), "layer intersection")
+        """A closed form for the layer-fold intersection at h >= 2, or None.
+
+        h = 1 needs none: the 1-fold sums are the layers themselves, whose
+        intersection is `intersection()`.
+        """
         return None
 
     def params(self) -> dict:
@@ -117,11 +119,9 @@ class TailFamily(Family):
         return self.core
 
     def certificate(self, h: int) -> TailCertificate | None:
-        if h == 1:
-            return TailCertificate(1, self.core, "layer intersection")
         # n = (n + q) + (h-2) copies of q + (-(h-1)q) uses only q-th tail
         # elements and covers every n >= 0; mirror the signs for n < 0
-        return TailCertificate(h, ALL, "integers-tail")
+        return TailCertificate(ALL, "integers-tail")
 
 
 class HalfTailFamily(Family):
@@ -141,8 +141,6 @@ class HalfTailFamily(Family):
         return self.core
 
     def certificate(self, h: int) -> TailCertificate | None:
-        if h == 1:
-            return TailCertificate(1, self.core, "layer intersection")
         lo, _ = bounds(self.core)
         if lo is None and not isinstance(self.core, Empty):
             return None
@@ -150,7 +148,7 @@ class HalfTailFamily(Family):
         # representations, so layers deep enough add nothing
         if (fold := _closed_hfold(self.core, h)) is None:
             return None
-        return TailCertificate(h, fold, "finiteness")
+        return TailCertificate(fold, "finiteness")
 
 
 class CongruenceChainFamily(Family):
@@ -208,7 +206,7 @@ class CongruenceChainFamily(Family):
         # pairwise incongruent; only they survive the full intersection
         if (fold := _closed_hfold(normalize(Finite(self.core)), h)) is None:
             return None
-        return TailCertificate(h, fold, "congruence-chain")
+        return TailCertificate(fold, "congruence-chain")
 
     def pinning_depth(self, h: int, wmax: int) -> int:
         """Least q whose modulus pins every |x| <= wmax to a core sum."""
@@ -260,7 +258,7 @@ class CosetTailFamily(Family):
         # threshold); the all-coset term j = h recedes with q
         d, x = self.subgroup_step, self.coset_base
         residues = {(j * x) % d for j in range(h)}
-        return TailCertificate(h, congruence(d, residues), "subgroup")
+        return TailCertificate(congruence(d, residues), "subgroup")
 
     def layer_reach(self, q: int) -> int:
         return abs(self.coset_base) + self.subgroup_step * q
@@ -319,10 +317,8 @@ class EnumerationFamily(Family):
         return self.core
 
     def certificate(self, h: int) -> TailCertificate | None:
-        if h == 1:
-            return TailCertificate(1, self.core, "layer intersection")
         # every layer is cofinite, and two cofinite sets sum to all of Z
-        return TailCertificate(h, ALL, "cofinite-basis")
+        return TailCertificate(ALL, "cofinite-basis")
 
 
 def _check_inner(inner) -> None:
@@ -360,7 +356,6 @@ class AffineFamily(Family):
             return None
         # h-fold sums commute with x -> unit*x + shift up to h*shift
         return TailCertificate(
-            h,
             affine(self.unit, h * self.shift, base.closed_form),
             f"affine({base.provenance})",
         )
@@ -372,9 +367,9 @@ class AffineFamily(Family):
 class ScaledFamily(Family):
     """k * F for |k| >= 2.
 
-    No certificate is attached: dilation by a non-unit is outside the
-    affine transport rule, and whether layerwise sum intersections carry
-    across it is left to side-by-side empirical comparison.
+    No certificate is attached yet (ROADMAP direction 2): dilation by a
+    non-unit is outside the affine transport rule, so the analyzer takes
+    its two-scale empirical path at every h >= 2.
     """
 
     kind = "scaled"
@@ -433,7 +428,7 @@ class ExplicitFamily(Family):
                 return None
             folds.append(fold)
         cert = folds[0] if self.decreasing else intersect(*folds)
-        return TailCertificate(h, cert, "explicit")
+        return TailCertificate(cert, "explicit")
 
 
 class ProductFamily:

@@ -805,9 +805,7 @@ class BasisReport:
         return self.verdicts[h - 1]
 
 
-def basis_order(
-    s: IntSet, h_max: int, window: Window, gen_radius: int | None = None
-) -> BasisReport:
+def basis_order(s: IntSet, h_max: int, window: Window) -> BasisReport:
     """Per-h window coverage of the h-fold sumset, certified where sound.
 
     Coverage only needs membership, which the enumeration establishes even
@@ -816,7 +814,7 @@ def basis_order(
     s = normalize(s)
     verdicts: list[BasisVerdict] = []
     for h in range(1, h_max + 1):
-        r = gen_radius or default_radius(window, h)
+        r = default_radius(window, h)
         res = symbolic_hfold_sum(s, h, window, r)
         if isinstance(res, Closed):
             # read without window_mask's cap: a closed form is never enumerated

@@ -173,7 +173,9 @@ def contains(s: IntSet, x: int) -> bool:
         i = bisect_left(s.excluded, x)
         return not (i < len(s.excluded) and s.excluded[i] == x)
     if isinstance(s, Congruence):
-        return x % s.modulus in s.residues
+        r = x % s.modulus
+        i = bisect_left(s.residues, r)
+        return i < len(s.residues) and s.residues[i] == r
     if isinstance(s, Tail):
         return abs(x - s.center) >= s.radius
     if isinstance(s, HalfTail):
@@ -592,12 +594,7 @@ def count_in_interval(s: IntSet, a: int, b: int) -> int | None:
             return base - len(cut)
         c = congs[0]
         base = count_in_interval(c, lo, hi)
-        cut = {
-            x
-            for ex in punct
-            for x in ex
-            if lo <= x <= hi and x % c.modulus in c.residues
-        }
+        cut = {x for ex in punct for x in ex if lo <= x <= hi and contains(c, x)}
         return base - len(cut)
     raise TypeError(f"not an IntSet: {s!r}")
 
@@ -656,11 +653,7 @@ def is_subset(x: IntSet, y: IntSet) -> bool:
         _, hi = bounds(x)
         return hi is not None and hi <= dy
     if isinstance(y, Union):
-        if any(is_subset(x, p) for p in y.parts):
-            return True
-        if isinstance(x, Union):
-            return all(is_subset(p, y) for p in x.parts)
-        return False
+        return any(is_subset(x, p) for p in y.parts)
     if isinstance(y, Intersection):
         return all(is_subset(x, p) for p in y.parts)
     return False
@@ -886,24 +879,25 @@ def _norm_intersection(parts) -> IntSet:
                     if set(r.parts) == {items[i], items[j]}:
                         continue  # no progress
                     rest.extend(r.parts)
-                elif r != ALL:
+                else:
                     rest.append(r)
                 items = rest
                 changed = True
                 break
             if changed:
                 break
-    if not items:
-        return ALL
     if len(items) == 1:
         return items[0]
     return Intersection(tuple(sorted(items, key=_key)))
 
 
 def _reduce2(x: IntSet, y: IntSet) -> IntSet | None:
-    """Exact intersection of two normalized atoms, or None when kept lazy."""
-    if x == y:
-        return x
+    """Exact intersection of two normalized atoms, or None when kept lazy.
+
+    The smaller part is returned whenever `is_subset` orders the pair, so
+    the helpers below only see pairs that overlap properly: neither part
+    holds the other.
+    """
     if is_subset(x, y):
         return x
     if is_subset(y, x):
@@ -926,7 +920,7 @@ def _reduce2(x: IntSet, y: IntSet) -> IntSet | None:
         if db is None:
             continue
         if isinstance(a, Congruence):
-            return _reduce_cong_co(a, b, db)
+            return _reduce_cong_co(a, db)
         if isinstance(a, HalfTail):
             return _reduce_half_co(a.threshold, db)
         if (bd := as_down_tail(a)) is not None:
@@ -937,10 +931,6 @@ def _reduce2(x: IntSet, y: IntSet) -> IntSet | None:
     hx = x.threshold if isinstance(x, HalfTail) else None
     hy = y.threshold if isinstance(y, HalfTail) else None
     bx, by = as_down_tail(x), as_down_tail(y)
-    if hx is not None and hy is not None:
-        return HalfTail(max(hx, hy))
-    if bx is not None and by is not None:
-        return down_tail(min(bx, by))
     if (hx is not None and by is not None) or (hy is not None and bx is not None):
         lo = hx if hx is not None else hy
         hi = by if by is not None else bx
@@ -971,8 +961,6 @@ def _reduce_co_co(dx, dy) -> IntSet | None:
     lst = dx if dx[0] == "list" else dy
     iv = dy if dx[0] == "list" else dx
     outside = tuple(v for v in lst[1] if not iv[1] <= v <= iv[2])
-    if not outside:
-        return _co_interval(iv[1], iv[2])
     if len(outside) < len(lst[1]):
         return Intersection(
             tuple(
@@ -1002,39 +990,29 @@ def _reduce_cong_cong(x: Congruence, y: Congruence) -> IntSet | None:
     return _primitive_congruence(lcm, res)
 
 
-def _reduce_cong_co(c: Congruence, co: IntSet, d) -> IntSet | None:
+def _reduce_cong_co(c: Congruence, d) -> IntSet | None:
     if d[0] == "list":
-        punct = tuple(v for v in d[1] if v % c.modulus in c.residues)
-        if not punct:
-            return c
+        punct = [v for v in d[1] if contains(c, v)]
         if len(punct) == len(d[1]):
             return None  # canonical punctured-class pair
-        return Intersection(tuple(sorted((c, _co_from_list(punct)), key=_key)))
-    cnt = count_in_interval(c, d[1], d[2])
-    if cnt == 0:
-        return c
-    if cnt <= EXPAND_CAP:
-        punct = tuple(
-            v for v in range(d[1], d[2] + 1) if v % c.modulus in c.residues
-        )
-        return Intersection(tuple(sorted((c, _co_from_list(punct)), key=_key)))
-    return None
+    else:
+        a, b, m = d[1], d[2], c.modulus
+        if count_in_interval(c, a, b) > EXPAND_CAP:
+            return None
+        # each residue's points in [a, b], stepped as count_in_interval counts them
+        punct = [v for r in c.residues for v in range(a + (r - a) % m, b + 1, m)]
+    return Intersection(tuple(sorted((c, _co_from_list(punct)), key=_key)))
 
 
 def _reduce_half_co(t: int, d) -> IntSet | None:
-    """{x >= t} minus an excluded descriptor."""
+    """{x >= t} minus an excluded descriptor that meets it."""
     if d[0] == "list":
-        punct = [v for v in d[1] if v >= t]
-        if not punct:
-            return HalfTail(t)
-        m = max(punct)
+        m = max(d[1])
         if m - t + 1 <= EXPAND_CAP:
-            keep = sorted(set(range(t, m + 1)) - set(punct))
+            keep = sorted(set(range(t, m + 1)) - set(d[1]))
             return _norm_union((Finite(tuple(keep)), HalfTail(m + 1)))
         return None
     a, b = d[1], d[2]
-    if b < t:
-        return HalfTail(t)
     if a <= t:
         return HalfTail(b + 1)
     seg = _segment(t, a - 1)

@@ -205,6 +205,7 @@ def test_verify_out_witness():
     assert verify_out_witness(fam, 2, -1)
     assert verify_out_witness(fam, 3, -1)
     assert not verify_out_witness(fam, 2, 0)  # 0 is a core sum
+    assert not verify_out_witness(fam, 1, -1)  # no h = 1 verdict is out
     # for this core the 3-fold already covers Z, so nothing can witness
     assert not verify_out_witness(TailFamily(THREEZ1), 3, -1)
 
@@ -387,6 +388,23 @@ def test_product_empty_side_collapses():
     rep = compute_H_product(pf, 3)
     assert rep.statuses == (CERTIFIED_IN,) * 3
     assert all(v.intersection_empty for v in rep.verdicts)
+
+
+def test_product_out_side_needs_a_partner_sample():
+    # the partner's class 500000 + 10^6 Z has no member within the sample
+    # search, so the out side's witness has nothing to pair with
+    far = ExplicitFamily([congruence(10**6, [500000])])
+    pf = ProductFamily(TailFamily(EMPTY), far)
+    v = compute_H(pf, 3).verdict(3)
+    left, right = compute_H(pf.left, 3).verdict(3), compute_H(far, 3).verdict(3)
+    assert (left.status, left.witness) == (CERTIFIED_OUT, 0)
+    assert right.status == CERTIFIED_IN and right.sample is None
+    assert _sample_member(far.intersection(), Window(-24, 24)) is None
+    assert (v.status, v.witness, v.sample) == (UNDETERMINED, None, None)
+    assert v.evidence == (
+        "one component is certified out but the partner side has no "
+        "certified member to embed the witness with"
+    )
 
 
 # -- truncated layer folds --------------------------------------------------
@@ -621,6 +639,22 @@ def test_scaled_family_report_frozen():
             [v.witness for v in base.verdicts]] == [
         v.witness for v in scaled.verdicts
     ]
+
+
+def test_empirical_path_reports_core_sums_the_layer_folds_miss():
+    # the core {-120, 120} sums to 0, but every other member of a layer
+    # lies at or above 2q: summands within the generation radius reach 0
+    # in no layer fold
+    fam = ScaledFamily(HalfTailFamily(finite([-60, 60])), 2)
+    win = Window(-24, 24)
+    assert 0 in fold_values(materialize(fam.intersection(), Window(-200, 200)), 2)
+    assert 0 not in truncated_layer_fold(fam, 2, win, 8, 24)
+    v = compute_H(fam, 2, HConfig(gen_radius=24)).verdict(2)
+    assert (v.status, v.witness) == (UNDETERMINED, None)
+    assert v.evidence == (
+        "closed core sums exceed the windowed layer folds; the generation "
+        "radius is too small for this family"
+    )
 
 
 # -- sample members ---------------------------------------------------------

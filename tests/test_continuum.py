@@ -30,8 +30,6 @@ def test_base_point_gates():
     with pytest.raises(ConstructionError):
         RationalPerturbFamily((4, 6))  # gap must exceed 2
     with pytest.raises(ConstructionError):
-        RationalPerturbFamily((4, 8), n_max=3)
-    with pytest.raises(ConstructionError):
         RationalPerturbFamily((4, 8), r_max=0)
     RationalPerturbFamily((4, 8, 12))
 
@@ -80,7 +78,9 @@ def _naive_rational(fam, h, Q, window, r_max):
     lo, hi = Fraction(window[0]), Fraction(window[1])
     denom = math.lcm(*range(1, r_max + 1))
     lo_s, hi_s = lo * denom, hi * denom
-    base = sorted(v for v in fold_values(fam.points, h) if lo - h <= v <= hi + h)
+    base = sorted(
+        v for v in fold_values(fam.base_points, h) if lo - h <= v <= hi + h
+    )
     base_scaled = [v * denom for v in base]
     intersection, prev, monotone = None, None, True
     for q in range(1, Q + 1):

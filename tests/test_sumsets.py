@@ -45,7 +45,16 @@ from intersets.sumsets import (
     window_mask,
     windowed_hfold_sum,
 )
-from intersets.symbolic import Affine, Congruence, Finite, HalfTail, Union, bounds
+from intersets.symbolic import (
+    Affine,
+    Congruence,
+    Finite,
+    HalfTail,
+    Intersection,
+    Union,
+    bounds,
+    is_infinite,
+)
 
 from oracles import (
     fold_values,
@@ -149,6 +158,38 @@ def test_sum2_falls_back_when_a_union_part_does_not_close():
         assert sumsets._distribute(x, partner) is None
         assert sumsets.sum2(x, partner) == expect
         assert sumsets.sum2(partner, x) == expect
+
+
+def test_distribute_gives_up_past_the_finite_fold_cap():
+    # classes of distinct primes past LCM_CAP stay apart in a union, and
+    # each odd prime's class plus the odd class is all of Z
+    primes = [p for p in range(1009, 1300) if all(p % d for d in range(2, 37))]
+    odd = congruence(2, (1,))
+    cap = sumsets._FINITE_FOLD_CAP
+    for k, expect in ((cap, ALL), (cap + 1, None)):
+        u = union(*(congruence(p, (0,)) for p in primes[:k]))
+        assert isinstance(u, Union) and len(u.parts) == k
+        assert sumsets.sum2(u, odd) == expect
+    # past the cap the 2-fold sum is enumerated, and matches brute force
+    s, win = union(u, finite([1])), Window(-30, 30)
+    res = symbolic_hfold_sum(s, 2, win, 1300)
+    assert isinstance(res, Windowed)
+    assert members_in(res, win) == windowed_fold(s, 2, win, 1300)
+
+
+def test_cofinite_absorbs_a_class_cut_by_points_and_one_ray():
+    # the puncture at 20000 lies past EXPAND_CAP above the ray, so no
+    # rewrite merges the three parts; one ray leaves the class infinite
+    part = intersect(congruence(3, [2]), half_tail(0), cofinite([20000]))
+    assert isinstance(part, Intersection) and len(part.parts) == 3
+    assert is_infinite(part) is True
+    assert sumsets.sum2(cofinite([0]), part) == ALL
+    win = Window(-20, 20)
+    assert windowed_sum(cofinite([0]), part, win, 60) == set(range(-20, 21))
+    # a second ray bounds it: then nothing decides the sum
+    bounded = intersect(part, down_tail(30000))
+    assert is_infinite(bounded) is False
+    assert sumsets.sum2(cofinite([0]), bounded) is None
 
 
 # -- incremental fold memo --------------------------------------------------
@@ -949,3 +990,20 @@ def test_basis_order_no_cover():
     rep = basis_order(congruence(2, (0,)), 3, Window(-10, 10))
     assert rep.exact_order is None
     assert all(not v.covers and v.certified for v in rep.verdicts)
+
+
+def test_basis_order_certifies_a_gap_of_a_complete_enumeration():
+    # 30 multiples of 3 in [-45, 42]: past the Finite rule's cap no
+    # rewrite closes the 2-fold sum, but every member lies within the
+    # generation radius, so the enumeration is complete
+    s = finite(range(-45, 45, 3))
+    win = Window(-20, 20)
+    rep = basis_order(s, 3, win)
+    for v in rep.verdicts[1:]:
+        r = default_radius(win, v.h)
+        assert r >= 45
+        fold = fold_values(s.elements, v.h)
+        expected = next(x for x in spiral(win) if x not in fold)
+        assert (v.covers, v.certified, v.witness) == (False, True, expected)
+        assert v.evidence == f"complete (R={r})"
+    assert rep.exact_order is None

@@ -47,6 +47,7 @@ from intersets.symbolic import (
     _primitive_congruence,
     co_interval_bounds,
     count_in_interval,
+    intersects_interval,
     mask_members,
     spiral_first,
     spiral_key,
@@ -210,6 +211,48 @@ def test_punctured_class_keeps_its_run_canonical():
     n = normalize(Intersection((interval, Cofinite(far))))
     assert n == Intersection((Tail(-EXPAND_CAP - 8, 2), interval))
     assert symbolic._normalize.__wrapped__(n) == n
+
+
+@pytest.mark.parametrize("gap", [1, 7, EXPAND_CAP + 1])
+def test_wide_co_intervals_apart_keep_the_gap_between_them(gap):
+    # Z \ [-(CAP-1), CAP-1] and Z \ [a, a + 2CAP - 2] with `gap` points
+    # between: a listed segment, or past EXPAND_CAP a lazy pair of rays
+    a = EXPAND_CAP + gap
+    left, right = tail(0, EXPAND_CAP), tail(a + EXPAND_CAP - 1, EXPAND_CAP)
+    n = intersect(left, right)
+    mid = intersect(half_tail(EXPAND_CAP), down_tail(a - 1))
+    assert isinstance(mid, Finite if gap <= EXPAND_CAP else Intersection)
+    assert n == union(down_tail(-EXPAND_CAP), mid, half_tail(a + 2 * EXPAND_CAP - 1))
+    window = Window(-EXPAND_CAP - 3, a + 2 * EXPAND_CAP + 2)
+    brute = [x for x in members(left, window) if contains(right, x)]
+    assert members(n, window) == brute
+
+
+def test_class_cut_by_a_wide_interval_lists_only_its_points():
+    # the interval holds 2 * 10**11 - 1 points but one point of the class
+    n = intersect(congruence(10**12 + 1, [5]), tail(0, 10**11))
+    assert n == Intersection((Congruence(10**12 + 1, (5,)), Cofinite((5,))))
+    # two residues stepped through [-19999, 19999], from one end to the other
+    c, t = congruence(7001, [1004, 5997]), tail(0, 2 * EXPAND_CAP)
+    assert contains(c, -2 * EXPAND_CAP + 1) and contains(c, 2 * EXPAND_CAP - 1)
+    n = intersect(c, t)
+    window = Window(-2 * EXPAND_CAP - 5, 2 * EXPAND_CAP + 5)
+    cut = [x for x in members(c, window) if not contains(t, x)]
+    assert n == Intersection((c, Cofinite(tuple(cut))))
+    assert members(n, window) == [x for x in members(c, window) if contains(t, x)]
+
+
+def test_intersection_with_a_union_past_the_distribute_cap_stays_lazy():
+    # classes of distinct primes past LCM_CAP stay apart in a union
+    primes = [p for p in range(1009, 1200) if all(p % d for d in range(2, 35))]
+    win = Window(-40, 2500)
+    cap = symbolic._DISTRIBUTE_CAP
+    for k, lazy in ((cap, False), (cap + 1, True)):
+        u = union(*(congruence(p, [0]) for p in primes[:k]))
+        assert isinstance(u, Union) and len(u.parts) == k
+        n = intersect(u, half_tail(1))
+        assert (isinstance(n, Intersection) and u in n.parts) == lazy
+        assert members(n, win) == [x for x in members(u, win) if x >= 1]
 
 
 @given(deep_sets)
@@ -583,6 +626,10 @@ kernel_sets = st.tuples(kernel_terms, st.sampled_from((1, 2, 3, -2))).map(
 @example(HalfTail(-4), -30, 12)  # window left of 0
 @example(scale_set(Congruence(4, (1,)), 3), 9, 0)  # one-point windows
 @example(scale_set(Congruence(4, (1,)), 3), 10, 0)
+# 421,678 residues, which the `members` oracle reads through contains
+@example(
+    scale_set(Union((Congruence(4, (0, 1, 2)), Congruence(140559, (0,)))), 3), 0, 60
+)
 @settings(max_examples=300)
 def test_window_bits_lists_materialize(s, lo, width):
     hi = lo + width
@@ -662,6 +709,15 @@ def test_count_in_interval_reads_tail_parts_of_an_intersection():
     assert isinstance(s, Intersection)
     assert count_in_interval(s, -20, 20) == 9
     assert count_in_interval(s, -20, 20) == len(members(s, Window(-20, 20)))
+
+
+def test_count_in_interval_leaves_two_classes_past_the_lcm_cap_open():
+    # no rewrite meets 1009Z + 1 and 1013Z + 2; counting by one class alone
+    # would miscount their single common point in every 1009 * 1013
+    s = intersect(congruence(1009, [1]), congruence(1013, [2]))
+    assert isinstance(s, Intersection)
+    assert count_in_interval(s, 0, 1009 * 1013 - 1) is None
+    assert intersects_interval(s, 0, 1009 * 1013 - 1) is None
 
 
 rays = st.one_of(halves, st.integers(-10, 10).map(down_tail))
