@@ -1,5 +1,4 @@
-"""Layer family constructions and gates; one family of each kind, which
-`test_serialize` also round-trips through its document."""
+"""Layer family constructions, gates, and document round trips."""
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +30,7 @@ from intersets import (
 )
 from intersets.serialize import family_from_json
 from oracles import spiral
+from test_serialize import assert_round_trip
 
 
 # -- construction gates -----------------------------------------------------
@@ -233,7 +233,7 @@ def test_layer_index_gates():
         fam.set_at(0)
 
 
-# -- one family of each kind -------------------------------------------------
+# -- params round trips -----------------------------------------------------
 
 ROUND_TRIP = [
     TailFamily(finite([0, 2])),
@@ -245,6 +245,11 @@ ROUND_TRIP = [
     ScaledFamily(HalfTailFamily(finite([0])), 3),
     ExplicitFamily([half_tail(0), half_tail(2)]),
 ]
+
+
+@pytest.mark.parametrize("fam", ROUND_TRIP, ids=lambda f: f.kind)
+def test_params_rebuild_same_layers(fam):
+    assert_round_trip(fam)
 
 
 @pytest.mark.parametrize("fam", ROUND_TRIP, ids=lambda f: f.kind)
