@@ -6,6 +6,10 @@ images) so that infinite sets stay exact, falls back to windowed bitset
 enumeration when no closed form applies, and reports which fold counts h
 make the h-fold sumset of a family's limit equal the intersection of the
 layer sumsets.
+
+Importing the package loads the engine.  The paper-scenario layer
+(`continuum`, `lattices` and `scenarios`) loads on first use of one of
+its names.
 """
 
 from .analyzer import (
@@ -24,13 +28,6 @@ from .analyzer import (
     transfer_product,
     truncated_layer_fold,
     verify_out_witness,
-)
-from .continuum import (
-    OpenTheoremReport,
-    RationalPerturbFamily,
-    RationalTheoremReport,
-    verify_open_theorem,
-    verify_rational_theorem,
 )
 from .errors import (
     CapError,
@@ -58,22 +55,6 @@ from .groups import (
     group_H_explicit,
     group_hfold,
     group_hfolds,
-)
-from .lattices import (
-    Box,
-    LatticePoint,
-    LatticeTheoremReport,
-    MinNormCheck,
-    NormTailFamily,
-    lattice_hfold_sum,
-    min_norm_inequality,
-    verify_lattice_theorem,
-)
-from .scenarios import (
-    ScenarioOptions,
-    ScenarioResult,
-    run_scenario,
-    scenario_ids,
 )
 from .serialize import (
     family_from_json,
@@ -124,3 +105,51 @@ from .symbolic import (
 )
 
 __version__ = "0.1.0"
+
+# names served from the paper-scenario layer, imported on first use
+_DEFERRED = {
+    "continuum": (
+        "OpenTheoremReport",
+        "RationalPerturbFamily",
+        "RationalTheoremReport",
+        "verify_open_theorem",
+        "verify_rational_theorem",
+    ),
+    "lattices": (
+        "Box",
+        "LatticePoint",
+        "LatticeTheoremReport",
+        "MinNormCheck",
+        "NormTailFamily",
+        "lattice_hfold_sum",
+        "min_norm_inequality",
+        "verify_lattice_theorem",
+    ),
+    "scenarios": (
+        "ScenarioOptions",
+        "ScenarioResult",
+        "run_scenario",
+        "scenario_ids",
+    ),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _DEFERRED:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED, *_HOME})
+
+
+# a star import still binds every public name, the deferred ones included
+__all__ = [name for name in __dir__() if not name.startswith("_")]

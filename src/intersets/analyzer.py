@@ -14,6 +14,7 @@ negative one first on ties), read off a window mask by `spiral_first`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .errors import InputError, InvariantError
@@ -22,8 +23,11 @@ from .groups import FiniteGroupTable, _group_verdicts, group_hfolds
 from .symbolic import (
     MATERIALIZE_CAP,
     OUT,
+    Congruence,
     Empty,
+    Finite,
     IntSet,
+    Union,
     Window,
     check_cap,
     congruence,
@@ -132,14 +136,39 @@ class HReport:
 # sampling helper
 
 
+def _nearest_member(s: IntSet) -> int | None:
+    """The spiral-first member of a normal form read off the term: the
+    members nearest 0 on each side of a Finite, r - m and r for the outer
+    residues of m.Z + R, and the nearest of a Union's parts.  None for
+    every other shape, or a Union with such a part."""
+    if isinstance(s, Finite):
+        xs = s.elements
+        i = bisect_left(xs, 0)
+        near = xs[max(i - 1, 0) : i + 1]
+    elif isinstance(s, Congruence):
+        near = (s.residues[-1] - s.modulus, s.residues[0])
+    elif isinstance(s, Union):
+        near = [_nearest_member(p) for p in s.parts]
+        if None in near:
+            return None
+    else:
+        return None
+    return min(near, key=spiral_key)
+
+
 def _sample_member(s: IntSet, window: Window) -> int | None:
-    """Smallest-|x| member (negatives first), scanning growing windows
-    while they stay within the materialization cap."""
+    """Smallest-|x| member (negatives first), read off the term where its
+    shape gives it, else scanning growing windows while they stay within
+    the materialization cap."""
     s = normalize(s)
     if isinstance(s, Empty):
         return None
     r = max(window.radius, 64)
     check_cap(Window(-r, r))
+    # the scan of the first window returns the same member when it lies there
+    x = _nearest_member(s)
+    if x is not None and -r <= x <= r:
+        return x
     for _ in range(4):
         x = spiral_first(window_bits(s, -r, r), -r)
         if x is not None:

@@ -9,14 +9,6 @@ import sys
 
 from .analyzer import HConfig, compute_H
 from .errors import CapError, InputError, InvariantError, NoClosedForm, ParseError
-from .scenarios import (
-    ScenarioOptions,
-    format_result,
-    result_to_json,
-    result_to_tsv,
-    run_scenario,
-    scenario_ids,
-)
 from .serialize import (
     family_from_json,
     parse_set_expr,
@@ -45,6 +37,10 @@ def _add_common(p: argparse.ArgumentParser, fmt_default: str, choices) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the scenario layer loads here, not with the package: `verify` lists
+    # its ids as choices
+    from .scenarios import scenario_ids
+
     top = argparse.ArgumentParser(
         prog="intersets",
         description="exact integer sumset computations and layered-family reports",
@@ -122,6 +118,14 @@ def _cmd_hset(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .scenarios import (
+        ScenarioOptions,
+        format_result,
+        result_to_json,
+        result_to_tsv,
+        run_scenario,
+    )
+
     opts = ScenarioOptions(
         hmax=args.hmax,
         Q=args.Q,

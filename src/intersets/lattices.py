@@ -19,8 +19,19 @@ from operator import mul
 from .errors import CapError, ConstructionError, InputError
 
 _CELL_CAP = 4_000_000
+_INT = {int}
 
 Coords = tuple[int, ...]
+
+
+def _int_coords(values) -> Coords:
+    """The coordinates as a tuple, if each is an int; floats, Fractions,
+    strings and bools raise rather than being truncated or parsed."""
+    c = tuple(values)
+    if not {*map(type, c)} <= _INT:
+        bad = next(v for v in c if type(v) is not int)
+        raise InputError(f"coordinates must be ints, got {bad!r}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -28,7 +39,7 @@ class LatticePoint:
     coords: Coords
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", _int_coords(self.coords))
 
     @property
     def dim(self) -> int:
@@ -45,7 +56,7 @@ class LatticePoint:
 def _as_coords(p) -> Coords:
     if isinstance(p, LatticePoint):
         return p.coords
-    return tuple(map(int, p))
+    return _int_coords(p)
 
 
 def _norm_sq(c: Coords) -> int:

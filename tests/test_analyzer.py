@@ -1,6 +1,7 @@
 """H-set reports: certificates, witnesses, transport, pullback, scaled families."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from intersets import (
     down_tail,
     finite,
     half_tail,
+    intersect,
     materialize,
     pullback_check,
     symbolic_hfold_sum,
@@ -730,6 +732,41 @@ def test_sample_member_scans_stay_within_the_cap(monkeypatch):
     with pytest.raises(CapError):
         _sample_member(finite([5]), Window(-10**6, 10**6))
     assert spans == [1_200_001]
+
+
+# finite sets and congruences whose nearest members lie on either side of
+# the first scan's edge, and shapes the term read leaves to the scan
+_near_atoms = st.one_of(
+    st.lists(st.integers(-300, 300), min_size=1, max_size=5).map(finite),
+    st.integers(1, 300).flatmap(
+        lambda m: st.lists(st.integers(0, m - 1), min_size=1, max_size=4).map(
+            lambda rs: congruence(m, rs)
+        )
+    ),
+    st.integers(-300, 300).map(half_tail),
+    st.integers(-300, 300).map(down_tail),
+    st.tuples(st.integers(2, 12), st.integers(-300, 300)).map(
+        lambda t: intersect(congruence(t[0], (1,)), half_tail(t[1]))
+    ),
+)
+
+
+@given(
+    st.lists(_near_atoms, min_size=1, max_size=3).map(lambda ps: union(*ps)),
+    st.integers(0, 100),
+)
+@settings(max_examples=200)
+def test_sample_member_term_read_matches_the_window_scan(s, radius):
+    s = symbolic.normalize(s)
+    x = analyzer._nearest_member(s)
+    if x is not None:
+        # the term read is the spiral-first member, wherever it lies
+        r = max(abs(x), 1)
+        assert symbolic.spiral_first(symbolic.window_bits(s, -r, r), -r) == x
+    window = Window(-radius, radius)
+    with mock.patch.object(analyzer, "_nearest_member", lambda s: None):
+        scanned = _sample_member(s, window)
+    assert _sample_member(s, window) == scanned
 
 
 def test_scaled_congruence_chain_completes():

@@ -142,6 +142,78 @@ def test_verify_unknown_scenario():
     assert exc.value.code == 2
 
 
+_SCENARIO_CHOICES = (
+    "{affine,cofinite-basis,congruence-chain,countable,finiteness,finiteness-H,"
+    "integers-tail,lattice,open-intervals,product-closure,rational,sharp,"
+    "simple-lemma,subgroup,surjection,vector-min}"
+)
+_VERIFY_USAGE = (
+    "usage: intersets verify [-h] [--hmax HMAX] [--Q Q] [--seed SEED]\n"
+    "                        [--samples SAMPLES] [--window LO:HI] [--gen-radius R]\n"
+    "                        [--format {text,tsv,json}] [--out FILE]\n"
+    f"                        {_SCENARIO_CHOICES}\n"
+)
+_PARSER_TEXTS = {
+    "--help": (
+        0,
+        "usage: intersets [-h] {hset,verify,sumset,repfn} ...\n"
+        "\n"
+        "exact integer sumset computations and layered-family reports\n"
+        "\n"
+        "positional arguments:\n"
+        "  {hset,verify,sumset,repfn}\n"
+        "    hset                H report for a family given as JSON\n"
+        "    verify              run a named verification scenario\n"
+        "    sumset              h-fold sumset of one set expression\n"
+        "    repfn               representation counts for targets\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    "verify --help": (
+        0,
+        _VERIFY_USAGE
+        + "\n"
+        "positional arguments:\n"
+        f"  {_SCENARIO_CHOICES}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --hmax HMAX\n"
+        "  --Q Q\n"
+        "  --seed SEED\n"
+        "  --samples SAMPLES\n"
+        "  --window LO:HI\n"
+        "  --gen-radius R\n"
+        "  --format {text,tsv,json}\n"
+        "  --out FILE\n",
+        "",
+    ),
+    "verify nope": (
+        2,
+        "",
+        _VERIFY_USAGE
+        + "intersets verify: error: argument scenario: invalid choice: 'nope' "
+        "(choose from 'affine', 'cofinite-basis', 'congruence-chain', "
+        "'countable', 'finiteness', 'finiteness-H', 'integers-tail', "
+        "'lattice', 'open-intervals', 'product-closure', 'rational', 'sharp', "
+        "'simple-lemma', 'subgroup', 'surjection', 'vector-min')\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PARSER_TEXTS))
+def test_parser_texts_frozen(argv, capsys, monkeypatch):
+    # argparse wraps help at the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _PARSER_TEXTS[argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize(
     "flags", [["--Q", "-3"], ["--Q", "0"], ["--gen-radius", "0"]], ids=" ".join
 )

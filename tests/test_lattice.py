@@ -127,6 +127,30 @@ def test_min_norm_inequality_accepts_lattice_points():
         min_norm_inequality([LatticePoint((0, 0))])
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        # each used to be truncated toward 0, or parsed
+        (lambda: min_norm_inequality([(1.5, 0), (0, 1.9)]), "1.5"),
+        (lambda: min_norm_inequality([(1, 0), (Fraction(1, 2), 1)]), "Fraction(1, 2)"),
+        # the coordinates are read before the vectors' dimensions
+        (lambda: min_norm_inequality([(1, 0), (2.0,)]), "2.0"),
+        (lambda: LatticePoint((0.9, 2.5)), "0.9"),
+        (lambda: LatticePoint((1, "2")), "'2'"),
+        (lambda: LatticePoint((True, 1)), "True"),
+        (lambda: NormTailFamily([(0.5, 0.5)], 2), "0.5"),
+        (lambda: Box.cube(0, 2, 2).contains((1.0, 1)), "1.0"),
+        (lambda: lattice_hfold_sum([(0, 0), (1, 0.5)], 2, Box.cube(0, 2, 2)), "0.5"),
+        (lambda: NormTailFamily([(1, 1)], 2).exclusion_depth((1.5, 0), 2), "1.5"),
+    ],
+)
+def test_non_integer_coordinates_raise(build, text):
+    with pytest.raises(InputError) as err:
+        build()
+    assert type(err.value) is InputError
+    assert str(err.value) == f"coordinates must be ints, got {text}"
+
+
 def test_norm_tail_family():
     fam = NormTailFamily(((0, 0), (1, 1)), 2)
     assert fam.tail_threshold_sq(1) == 8
