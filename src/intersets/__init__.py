@@ -117,7 +117,6 @@ _DEFERRED = {
     ),
     "lattices": (
         "Box",
-        "LatticePoint",
         "LatticeTheoremReport",
         "MinNormCheck",
         "NormTailFamily",

@@ -161,8 +161,11 @@ class CongruenceChainFamily(Family):
         elements = tuple(sorted(set(int(a) for a in core)))
         if not elements:
             raise ConstructionError("core must be a nonempty finite set")
+        if ratio < 2:
+            raise ConstructionError(f"modulus ratio must be >= 2, got {ratio}")
         self.core = elements
         self.m_star = max(abs(a) for a in elements)
+        self.ratio = ratio
         if moduli is not None:
             chain = tuple(int(m) for m in moduli)
             if not chain:
@@ -174,14 +177,12 @@ class CongruenceChainFamily(Family):
                         f"got {a} then {b}"
                     )
             self.moduli = chain
-            self.ratio = chain[-1] // chain[-2] if len(chain) > 1 else max(ratio, 2)
+            if len(chain) > 1:
+                self.ratio = chain[-1] // chain[-2]
         else:
             if m1 is None:
                 raise ConstructionError("either m1 or a modulus chain is required")
-            if ratio < 2:
-                raise ConstructionError(f"modulus ratio must be >= 2, got {ratio}")
             self.moduli = (int(m1),)
-            self.ratio = ratio
         if self.moduli[0] <= 2 * self.m_star:
             raise ConstructionError(
                 f"first modulus {self.moduli[0]} must exceed twice the core "

@@ -24,39 +24,14 @@ _INT = {int}
 Coords = tuple[int, ...]
 
 
-def _int_coords(values) -> Coords:
-    """The coordinates as a tuple, if each is an int; floats, Fractions,
+def _int_coords(values, what: str = "coordinates") -> Coords:
+    """The values as a tuple, if each is an int; floats, Fractions,
     strings and bools raise rather than being truncated or parsed."""
     c = tuple(values)
     if not {*map(type, c)} <= _INT:
         bad = next(v for v in c if type(v) is not int)
-        raise InputError(f"coordinates must be ints, got {bad!r}")
+        raise InputError(f"{what} must be ints, got {bad!r}")
     return c
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    coords: Coords
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _int_coords(self.coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def norm_sq(self) -> int:
-        return sum(c * c for c in self.coords)
-
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-
-def _as_coords(p) -> Coords:
-    if isinstance(p, LatticePoint):
-        return p.coords
-    return _int_coords(p)
 
 
 def _norm_sq(c: Coords) -> int:
@@ -70,7 +45,7 @@ class Box:
     bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        bounds = tuple((int(lo), int(hi)) for lo, hi in self.bounds)
+        bounds = tuple(_int_coords(b, "box bounds") for b in self.bounds)
         for lo, hi in bounds:
             if lo > hi:
                 raise InputError(f"box bound {lo} exceeds {hi}")
@@ -84,15 +59,8 @@ class Box:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @property
-    def cells(self) -> int:
-        n = 1
-        for lo, hi in self.bounds:
-            n *= hi - lo + 1
-        return n
-
     def contains(self, p) -> bool:
-        c = _as_coords(p)
+        c = _int_coords(p)
         return len(c) == self.dim and all(
             lo <= v <= hi for v, (lo, hi) in zip(c, self.bounds)
         )
@@ -106,27 +74,18 @@ class Box:
 # folds
 
 
-@dataclass(frozen=True)
-class LatticeFold:
-    """h-fold sums landing in a box.
+def lattice_hfold_sum(points, h: int, box: Box) -> frozenset[Coords]:
+    """Exact h-fold sums of a finite point set, restricted to the box.
 
-    `complete` marks the hypercube argument: with all summands
-    nonnegative, every representation of a box point is coordinatewise
-    dominated by it, so a materialization covering [0, hi] per axis
-    misses nothing.
+    With all summands nonnegative (the hypercube argument), every
+    representation of a box point is coordinatewise dominated by it, so
+    a materialization covering [0, hi] per axis misses nothing.
     """
-
-    members: frozenset[Coords]
-    complete: bool
-
-
-def lattice_hfold_sum(points, h: int, box: Box) -> LatticeFold:
-    """Exact h-fold sums of a finite point set, restricted to the box."""
     if h < 1:
         raise InputError(f"h must be >= 1, got {h}")
-    pts = {_as_coords(p) for p in points}
+    pts = {_int_coords(p) for p in points}
     if not pts:
-        return LatticeFold(frozenset(), True)
+        return frozenset()
     dim = box.dim
     if any(len(p) != dim for p in pts):
         raise InputError("point dimension does not match the box")
@@ -152,9 +111,7 @@ def lattice_hfold_sum(points, h: int, box: Box) -> LatticeFold:
         if len(nxt) > _CELL_CAP:
             raise CapError(f"partial sum set exceeded {_CELL_CAP} cells")
         acc = nxt
-    members = frozenset(v for v in acc if box.contains(v))
-    complete = all(all(c >= 0 for c in p) for p in pts)
-    return LatticeFold(members, complete)
+    return frozenset(v for v in acc if box.contains(v))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +129,7 @@ class MinNormCheck:
 def min_norm_inequality(vectors) -> MinNormCheck:
     """Exact check that the norm of a sum of k nonnegative nonzero
     vectors is at least sqrt(k) times the smallest norm, in squares."""
-    vs = [_as_coords(v) for v in vectors]
+    vs = [_int_coords(v) for v in vectors]
     if not vs:
         raise InputError("at least one vector is required")
     dim = len(vs[0])
@@ -205,7 +162,7 @@ class NormTailFamily:
     kind = "norm-tail"
 
     def __init__(self, core, m_star_sq):
-        pts = frozenset(_as_coords(p) for p in core)
+        pts = frozenset(_int_coords(p) for p in core)
         if not pts:
             raise ConstructionError("core must be nonempty")
         dims = {len(p) for p in pts}
@@ -248,7 +205,7 @@ class NormTailFamily:
     def exclusion_depth(self, x, h: int) -> int:
         """Least q at which any h-fold representation of x touching the
         tail is impossible: 2q - h >= 0 and (2q-h)^2 m*^2 >= ||x||^2."""
-        n = _norm_sq(_as_coords(x))
+        n = _norm_sq(_int_coords(x))
         q = max(1, (h + 1) // 2)
         while (2 * q - h) < 0 or (2 * q - h) ** 2 * self.m_star_sq < n:
             q += 1
@@ -309,8 +266,8 @@ def verify_lattice_theorem(
     deepest = family.set_in_box(Q, box)
     checks = []
     for h in range(1, h_max + 1):
-        core_fold = lattice_hfold_sum(family.core, h, box).members
-        trunc = lattice_hfold_sum(deepest, h, box).members
+        core_fold = lattice_hfold_sum(family.core, h, box)
+        trunc = lattice_hfold_sum(deepest, h, box)
 
         mismatches = []
         undetermined = []

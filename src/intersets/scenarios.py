@@ -39,7 +39,6 @@ from .families import (
 )
 from .lattices import (
     Box,
-    LatticePoint,
     NormTailFamily,
     min_norm_inequality,
     verify_lattice_theorem,
@@ -132,14 +131,10 @@ def _fmt_misses(misses: list, cap: int = 4) -> str:
 # integer tail scenarios
 
 
-def _run_integers_tail(opts: ScenarioOptions) -> ScenarioResult:
+def _run_integers_tail(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 5
     Q = opts.Q or 20
     win = opts.window or Window(-50, 50)
-    run = _Run(
-        "integers-tail",
-        "two-sided tails: every h >= 2 layer sum covers the whole window",
-    )
 
     points = range(win.lo, win.hi + 1)
     misses = []
@@ -174,17 +169,12 @@ def _run_integers_tail(opts: ScenarioOptions) -> ScenarioResult:
         all(v.witness == 0 for v in out) and len(out) == hmax - 1,
         f"witnesses {[v.witness for v in out]}",
     )
-    return run.result()
 
 
-def _run_congruence_chain(opts: ScenarioOptions) -> ScenarioResult:
+def _run_congruence_chain(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
     win = opts.window or Window(-100, 100)
     fam = CongruenceChainFamily((0, 1, 3), m1=7)
-    run = _Run(
-        "congruence-chain",
-        "a divisibility chain pins every h-fold sum to the core sums",
-    )
 
     rep = compute_H(fam, hmax, HConfig(Q=opts.Q or 6, window=win))
     run.check(
@@ -217,19 +207,14 @@ def _run_congruence_chain(opts: ScenarioOptions) -> ScenarioResult:
             core_sums < shallow,
             f"q = {pin - 1} keeps {len(shallow) - len(core_sums)} extra values",
         )
-    return run.result()
 
 
-def _run_finiteness(opts: ScenarioOptions) -> ScenarioResult:
+def _run_finiteness(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
     shallow = opts.Q or 8
     win = opts.window or Window(-8, 40)
     count = opts.samples or 20
     rng = random.Random(opts.seed)
-    run = _Run(
-        "finiteness",
-        "below-bounded summands: deep layers add nothing to the h-fold sums",
-    )
 
     fams = []
     for _ in range(count):
@@ -303,17 +288,12 @@ def _run_finiteness(opts: ScenarioOptions) -> ScenarioResult:
         not inexact,
         "pair counts for 3 sample layers",
     )
-    return run.result()
 
 
-def _run_finiteness_H(opts: ScenarioOptions) -> ScenarioResult:
+def _run_finiteness_H(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
     win = opts.window or Window(-24, 40)
     rng = random.Random(opts.seed)
-    run = _Run(
-        "finiteness-H",
-        "families of below-bounded layers keep every h certified in",
-    )
 
     cores = [EMPTY, finite([0]), finite([0, 1]), finite([3, 7]), finite([0, 2, 9])]
     cores += [
@@ -338,16 +318,11 @@ def _run_finiteness_H(opts: ScenarioOptions) -> ScenarioResult:
         empty_rep.statuses == (CERTIFIED_IN,) * hmax,
         f"statuses {', '.join(empty_rep.statuses)}",
     )
-    return run.result()
 
 
-def _run_subgroup(opts: ScenarioOptions) -> ScenarioResult:
+def _run_subgroup(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
     win = opts.window or Window(-24, 24)
-    run = _Run(
-        "subgroup",
-        "a subgroup plus a receding coset tail keeps only h = 1",
-    )
 
     cases = ((2, 1), (3, 1), (4, 3), (5, 2), (6, 2))
     bad_H = []
@@ -380,15 +355,10 @@ def _run_subgroup(opts: ScenarioOptions) -> ScenarioResult:
         pinned.witness is not None and pinned.witness % 2 == 1,
         f"witness {pinned.witness}",
     )
-    return run.result()
 
 
-def _run_sharp(opts: ScenarioOptions) -> ScenarioResult:
+def _run_sharp(opts: ScenarioOptions, run: _Run) -> None:
     win = opts.window or Window(-30, 30)
-    run = _Run(
-        "sharp",
-        "dZ with the single extra point 1 has exact additive order d",
-    )
 
     for d in (3, 4, 5):
         s = union(congruence(d, (0,)), finite((1,)))
@@ -410,16 +380,11 @@ def _run_sharp(opts: ScenarioOptions) -> ScenarioResult:
             rep.in_H == (1, d, d + 1) and rep.all_certified,
             f"statuses {', '.join(rep.statuses)}",
         )
-    return run.result()
 
 
-def _run_countable(opts: ScenarioOptions) -> ScenarioResult:
+def _run_countable(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
     win = opts.window or Window(-24, 24)
-    run = _Run(
-        "countable",
-        "restoring an enumerated complement keeps only h = 1",
-    )
 
     for core in (finite([0, 1]), finite([0, 2, 5]), finite([-3, 0, 4])):
         fam = EnumerationFamily(core)
@@ -435,18 +400,13 @@ def _run_countable(opts: ScenarioOptions) -> ScenarioResult:
             all(verify_out_witness(fam, v.h, v.witness) for v in outs),
             "certificate membership and certified absence",
         )
-    return run.result()
 
 
-def _run_cofinite_basis(opts: ScenarioOptions) -> ScenarioResult:
+def _run_cofinite_basis(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
     win = opts.window or Window(-20, 20)
     count = opts.samples or 20
     rng = random.Random(opts.seed)
-    run = _Run(
-        "cofinite-basis",
-        "a set missing finitely many integers already sums onto the line at h = 2",
-    )
 
     not_all = []
     uncovered = []
@@ -479,19 +439,14 @@ def _run_cofinite_basis(opts: ScenarioOptions) -> ScenarioResult:
         rep.in_H == tuple(range(1, hmax + 1)) and rep.all_certified,
         f"statuses {', '.join(rep.statuses)}",
     )
-    return run.result()
 
 
 # ---------------------------------------------------------------------------
 # group and product scenarios
 
 
-def _run_surjection(opts: ScenarioOptions) -> ScenarioResult:
+def _run_surjection(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
-    run = _Run(
-        "surjection",
-        "residue arithmetic agrees with its integer preimage under reduction",
-    )
 
     for m in range(2, 13):
         fold_bad = []
@@ -512,16 +467,11 @@ def _run_surjection(opts: ScenarioOptions) -> ScenarioResult:
             if not (fold_bad or h_bad)
             else f"fold {_fmt_misses(fold_bad)} | H {_fmt_misses(h_bad)}",
         )
-    return run.result()
 
 
-def _run_product_closure(opts: ScenarioOptions) -> ScenarioResult:
+def _run_product_closure(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
     cfg = HConfig(Q=opts.Q or 6, window=opts.window or Window(-24, 24))
-    run = _Run(
-        "product-closure",
-        "componentwise pairs: the pair verdict is the component conjunction",
-    )
 
     left = TailFamily(union(congruence(4, (0,)), finite((1,))))
     right = CongruenceChainFamily((0, 1, 3), m1=7)
@@ -559,18 +509,13 @@ def _run_product_closure(opts: ScenarioOptions) -> ScenarioResult:
         dv.statuses == (CERTIFIED_IN,) * hmax and dv.statuses == cv.statuses,
         f"statuses {', '.join(dv.statuses)}",
     )
-    return run.result()
 
 
-def _run_affine(opts: ScenarioOptions) -> ScenarioResult:
+def _run_affine(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 4
     cfg = HConfig(Q=opts.Q or 6, window=opts.window or Window(-32, 32))
     count = opts.samples or 50
     rng = random.Random(opts.seed)
-    run = _Run(
-        "affine",
-        "unit-scale affine images preserve the whole verdict vector",
-    )
 
     def random_inner():
         kind = rng.choice(("tail", "half-tail", "enumeration", "chain"))
@@ -613,17 +558,12 @@ def _run_affine(opts: ScenarioOptions) -> ScenarioResult:
         not unverified,
         _fmt_misses(unverified) if unverified else "spiral and transported witnesses",
     )
-    return run.result()
 
 
-def _run_simple_lemma(opts: ScenarioOptions) -> ScenarioResult:
+def _run_simple_lemma(opts: ScenarioOptions, run: _Run) -> None:
     count = opts.samples or 100
     hmax = opts.hmax or 4
     rng = random.Random(opts.seed)
-    run = _Run(
-        "simple-lemma",
-        "h-fold sums respect intersections and inclusions",
-    )
 
     def brute(values: set[int], h: int) -> set[int]:
         if not values:
@@ -678,26 +618,19 @@ def _run_simple_lemma(opts: ScenarioOptions) -> ScenarioResult:
         not subset_bad,
         _fmt_misses(subset_bad) if subset_bad else "sound decision procedure",
     )
-    return run.result()
 
 
 # ---------------------------------------------------------------------------
 # continuum scenarios
 
+_BASE_POINTS = tuple(4 * n for n in range(1, 11))
 
-def _run_rational(opts: ScenarioOptions) -> ScenarioResult:
+
+def _run_rational(opts: ScenarioOptions, run: _Run) -> None:
     Q = opts.Q or 10
     hmax = opts.hmax or 3
-    win = (
-        (Fraction(opts.window.lo), Fraction(opts.window.hi))
-        if opts.window
-        else (Fraction(0), Fraction(40))
-    )
-    fam = RationalPerturbFamily(tuple(4 * n for n in range(1, 11)), r_max=25)
-    run = _Run(
-        "rational",
-        "perturbed rationals: intersection points cluster within h/Q of a base sum",
-    )
+    win = (opts.window.lo, opts.window.hi) if opts.window else (0, 40)
+    fam = RationalPerturbFamily(_BASE_POINTS, r_max=25)
 
     for h in range(2, hmax + 1):
         rep = verify_rational_theorem(fam, h, Q, win)
@@ -721,31 +654,21 @@ def _run_rational(opts: ScenarioOptions) -> ScenarioResult:
             rep.monotone,
             f"Q = {Q}, r_max = {fam.r_max}",
         )
-    return run.result()
 
 
-def _run_open_intervals(opts: ScenarioOptions) -> ScenarioResult:
+def _run_open_intervals(opts: ScenarioOptions, run: _Run) -> None:
     Q = opts.Q or 10
     h = opts.hmax or 2
-    win = (
-        (Fraction(opts.window.lo), Fraction(opts.window.hi))
-        if opts.window
-        else (Fraction(0), Fraction(20))
-    )
-    points = tuple(4 * n for n in range(1, 11))
-    run = _Run(
-        "open-intervals",
-        "open perturbation intervals: components center on base sums with radius h/Q",
-    )
+    win = (opts.window.lo, opts.window.hi) if opts.window else (0, 20)
 
-    single = verify_open_theorem(points, 1, Q, win)
+    single = verify_open_theorem(_BASE_POINTS, 1, Q, win)
     run.check(
         "h = 1: every component is punctured at its base point",
         single.all_punctured and not single.empty,
         f"{len(single.components)} components",
     )
 
-    rep = verify_open_theorem(points, h, Q, win)
+    rep = verify_open_theorem(_BASE_POINTS, h, Q, win)
     run.check(
         f"h = {h}: each component contains exactly one base sum",
         rep.all_centered and not rep.empty,
@@ -762,7 +685,6 @@ def _run_open_intervals(opts: ScenarioOptions) -> ScenarioResult:
         "puncturing is what removes the centers",
     )
     run.check("full report verdict", rep.ok, f"h = {h}, Q = {Q}")
-    return run.result()
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +724,8 @@ def _vector_min_samples(seed: int, count: int):
         yield vs
 
 
-def _run_vector_min(opts: ScenarioOptions) -> ScenarioResult:
+def _run_vector_min(opts: ScenarioOptions, run: _Run) -> None:
     count = opts.samples or 10_000
-    run = _Run(
-        "vector-min",
-        "the squared norm of a nonnegative vector sum is at least k times the minimum",
-    )
 
     failures = []
     for i, vs in enumerate(_vector_min_samples(opts.seed, count)):
@@ -825,18 +743,13 @@ def _run_vector_min(opts: ScenarioOptions) -> ScenarioResult:
         tight.holds and tight.sum_norm_sq == tight.k_times_min_sq,
         f"{tight.sum_norm_sq} = {tight.k_times_min_sq}",
     )
-    return run.result()
 
 
-def _run_lattice(opts: ScenarioOptions) -> ScenarioResult:
+def _run_lattice(opts: ScenarioOptions, run: _Run) -> None:
     hmax = opts.hmax or 3
     Q = opts.Q or 5
-    run = _Run(
-        "lattice",
-        "plane families with norm tails: truncation certifies the h-fold equality",
-    )
 
-    fam = NormTailFamily((LatticePoint((0, 0)), LatticePoint((1, 1))), 2)
+    fam = NormTailFamily(((0, 0), (1, 1)), 2)
     box = Box.cube(-5, 5, 2)
     rep = verify_lattice_theorem(fam, hmax, Q, box, norm_sq_cap=25)
     run.check(
@@ -854,7 +767,6 @@ def _run_lattice(opts: ScenarioOptions) -> ScenarioResult:
         all(c.max_exclusion_depth <= Q for c in rep.checks),
         f"Q = {Q}",
     )
-    return run.result()
 
 
 # ---------------------------------------------------------------------------
@@ -863,22 +775,70 @@ def _run_lattice(opts: ScenarioOptions) -> ScenarioResult:
 
 # verify-suite and scenario_ids() run the scenarios in this order
 _REGISTRY = {
-    "integers-tail": _run_integers_tail,
-    "rational": _run_rational,
-    "open-intervals": _run_open_intervals,
-    "finiteness": _run_finiteness,
-    "finiteness-H": _run_finiteness_H,
-    "subgroup": _run_subgroup,
-    "surjection": _run_surjection,
-    "cofinite-basis": _run_cofinite_basis,
-    "sharp": _run_sharp,
-    "congruence-chain": _run_congruence_chain,
-    "vector-min": _run_vector_min,
-    "lattice": _run_lattice,
-    "countable": _run_countable,
-    "product-closure": _run_product_closure,
-    "affine": _run_affine,
-    "simple-lemma": _run_simple_lemma,
+    "integers-tail": (
+        "two-sided tails: every h >= 2 layer sum covers the whole window",
+        _run_integers_tail,
+    ),
+    "rational": (
+        "perturbed rationals: intersection points cluster within h/Q of a base sum",
+        _run_rational,
+    ),
+    "open-intervals": (
+        "open perturbation intervals: components center on base sums with radius h/Q",
+        _run_open_intervals,
+    ),
+    "finiteness": (
+        "below-bounded summands: deep layers add nothing to the h-fold sums",
+        _run_finiteness,
+    ),
+    "finiteness-H": (
+        "families of below-bounded layers keep every h certified in",
+        _run_finiteness_H,
+    ),
+    "subgroup": (
+        "a subgroup plus a receding coset tail keeps only h = 1",
+        _run_subgroup,
+    ),
+    "surjection": (
+        "residue arithmetic agrees with its integer preimage under reduction",
+        _run_surjection,
+    ),
+    "cofinite-basis": (
+        "a set missing finitely many integers already sums onto the line at h = 2",
+        _run_cofinite_basis,
+    ),
+    "sharp": (
+        "dZ with the single extra point 1 has exact additive order d",
+        _run_sharp,
+    ),
+    "congruence-chain": (
+        "a divisibility chain pins every h-fold sum to the core sums",
+        _run_congruence_chain,
+    ),
+    "vector-min": (
+        "the squared norm of a nonnegative vector sum is at least k times the minimum",
+        _run_vector_min,
+    ),
+    "lattice": (
+        "plane families with norm tails: truncation certifies the h-fold equality",
+        _run_lattice,
+    ),
+    "countable": (
+        "restoring an enumerated complement keeps only h = 1",
+        _run_countable,
+    ),
+    "product-closure": (
+        "componentwise pairs: the pair verdict is the component conjunction",
+        _run_product_closure,
+    ),
+    "affine": (
+        "unit-scale affine images preserve the whole verdict vector",
+        _run_affine,
+    ),
+    "simple-lemma": (
+        "h-fold sums respect intersections and inclusions",
+        _run_simple_lemma,
+    ),
 }
 
 
@@ -888,11 +848,13 @@ def scenario_ids() -> tuple[str, ...]:
 
 def run_scenario(scenario: str, opts: ScenarioOptions | None = None) -> ScenarioResult:
     try:
-        runner = _REGISTRY[scenario]
+        title, runner = _REGISTRY[scenario]
     except KeyError:
         known = ", ".join(scenario_ids())
         raise InputError(f"unknown scenario {scenario!r}; expected one of {known}") from None
-    return runner(opts or ScenarioOptions())
+    run = _Run(scenario, title)
+    runner(opts or ScenarioOptions(), run)
+    return run.result()
 
 
 # ---------------------------------------------------------------------------

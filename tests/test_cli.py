@@ -381,6 +381,11 @@ def test_repfn_json(capsys):
     }
 
 
+def test_repfn_h_zero_is_one_error_line(capsys):
+    assert main(["repfn", "--set", "finite:1", "--h", "0", "--target", "2"]) == 2
+    assert capsys.readouterr().err == "error: h must be >= 1, got 0\n"
+
+
 def test_repfn_cap_exit_code(capsys):
     assert main(["repfn", "--set", "halftail:0", "--h", "2",
                  "--target", "1000000"]) == 3
@@ -485,6 +490,16 @@ def test_hset_null_ratio_is_the_default(monkeypatch, capsys):
     expected = capsys.readouterr().out
     assert _hset_stdin({**_CHAIN, "ratio": None}, monkeypatch) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("modulus", [{"m1": "5"}, {"moduli": ["5"]}], ids=["m1", "moduli"])
+def test_hset_chain_ratio_below_2_is_one_error_line(modulus, monkeypatch, capsys):
+    # one modulus given either way: the ratio 1 is refused, never replaced
+    doc = {"family": "congruence-chain", "core": ["0", "1"], **modulus, "ratio": "1"}
+    assert _hset_stdin(doc, monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: modulus ratio must be >= 2, got 1\n"
 
 
 def test_hset_chain_core_past_the_fold_cap(monkeypatch, capsys):

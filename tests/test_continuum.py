@@ -31,6 +31,9 @@ def test_base_point_gates():
         RationalPerturbFamily((4, 6))  # gap must exceed 2
     with pytest.raises(ConstructionError):
         RationalPerturbFamily((4, 8), r_max=0)
+    with pytest.raises(ConstructionError) as err:
+        RationalPerturbFamily((4, Fraction(8)))
+    assert str(err.value) == "base points must be integers"
     RationalPerturbFamily((4, 8, 12))
 
 

@@ -58,7 +58,6 @@ _DEFERRED = {
     ),
     "lattices": (
         "Box",
-        "LatticePoint",
         "LatticeTheoremReport",
         "MinNormCheck",
         "NormTailFamily",

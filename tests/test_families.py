@@ -50,6 +50,22 @@ def test_chain_gates():
     CongruenceChainFamily((0, 1, 3), m1=7)  # boundary 7 > 6 is fine
 
 
+@pytest.mark.parametrize(
+    "kwargs, text",
+    [
+        # a ratio below 2 is refused with one modulus given either way
+        ({"m1": 5, "ratio": 1}, "modulus ratio must be >= 2, got 1"),
+        ({"moduli": (5,), "ratio": 1}, "modulus ratio must be >= 2, got 1"),
+        ({"moduli": (5, 15), "ratio": 0}, "modulus ratio must be >= 2, got 0"),
+        ({"moduli": ()}, "modulus chain must be nonempty"),
+    ],
+)
+def test_chain_error_texts(kwargs, text):
+    with pytest.raises(ConstructionError) as err:
+        CongruenceChainFamily((0, 1), **kwargs)
+    assert str(err.value) == text
+
+
 def test_coset_gates():
     with pytest.raises(ConstructionError):
         CosetTailFamily(1, 1)

@@ -9,7 +9,6 @@ from intersets import (
     CapError,
     ConstructionError,
     InputError,
-    LatticePoint,
     NormTailFamily,
     lattice_hfold_sum,
     min_norm_inequality,
@@ -19,27 +18,39 @@ from intersets import (
 from oracles import lattice_fold
 
 
-def test_lattice_point_basics():
-    p = LatticePoint((1, -2))
-    assert p.dim == 2
-    assert p.norm_sq == 5
-    assert (p + LatticePoint((2, 2))).coords == (3, 0)
-
-
 def test_box_basics():
     b = Box.cube(-2, 2, 2)
-    assert b.dim == 2 and b.cells == 25
+    assert b.dim == 2 and b.bounds == ((-2, 2), (-2, 2))
+    assert Box([[0, 2], [-1, 1]]).bounds == ((0, 2), (-1, 1))
     assert b.contains((0, -2)) and not b.contains((0, 3))
     assert len(list(b.points())) == 25
     with pytest.raises(InputError):
         Box(((2, -2),))
 
 
+@pytest.mark.parametrize(
+    "bounds, text",
+    [
+        # none is truncated toward 0 or parsed
+        (((0.5, 2.5),), "0.5"),
+        (((0, 2), (Fraction(1, 2), 3)), "Fraction(1, 2)"),
+        (((True, 2),), "True"),
+        (((0, "2"),), "'2'"),
+    ],
+)
+def test_non_integer_box_bounds_raise(bounds, text):
+    with pytest.raises(InputError) as err:
+        Box(bounds)
+    assert type(err.value) is InputError
+    assert str(err.value) == f"box bounds must be ints, got {text}"
+    with pytest.raises(InputError):
+        Box.cube(bounds[-1][0], bounds[-1][1], 2)
+
+
 def test_lattice_hfold_frozen():
     pts = [(0, 0), (1, 0), (0, 1)]
     fold = lattice_hfold_sum(pts, 2, Box.cube(0, 2, 2))
-    assert fold.complete
-    assert fold.members == {
+    assert fold == {
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
     }
 
@@ -57,8 +68,7 @@ def test_lattice_hfold_matches_brute_force(pts, h):
     box = Box.cube(-6, 9, 2)
     fold = lattice_hfold_sum(pts, h, box)
     expect = {v for v in lattice_fold(pts, h) if box.contains(v)}
-    assert fold.members == expect
-    assert fold.complete == all(c >= 0 for p in pts for c in p)
+    assert fold == expect
 
 
 def test_lattice_hfold_gates():
@@ -119,14 +129,6 @@ def test_min_norm_inequality_error_texts():
         assert str(err.value) == text
 
 
-def test_min_norm_inequality_accepts_lattice_points():
-    pts = [LatticePoint((1, 0)), LatticePoint((0, 2)), (3, 1)]
-    chk = min_norm_inequality(pts)
-    assert (chk.k, chk.sum_norm_sq, chk.k_times_min_sq, chk.holds) == (3, 25, 3, True)
-    with pytest.raises(InputError, match="zero vector not allowed"):
-        min_norm_inequality([LatticePoint((0, 0))])
-
-
 @pytest.mark.parametrize(
     "build, text",
     [
@@ -135,9 +137,9 @@ def test_min_norm_inequality_accepts_lattice_points():
         (lambda: min_norm_inequality([(1, 0), (Fraction(1, 2), 1)]), "Fraction(1, 2)"),
         # the coordinates are read before the vectors' dimensions
         (lambda: min_norm_inequality([(1, 0), (2.0,)]), "2.0"),
-        (lambda: LatticePoint((0.9, 2.5)), "0.9"),
-        (lambda: LatticePoint((1, "2")), "'2'"),
-        (lambda: LatticePoint((True, 1)), "True"),
+        (lambda: NormTailFamily([(1, 1), (0.9, 2.5)], 9), "0.9"),
+        (lambda: min_norm_inequality([(1, "2")]), "'2'"),
+        (lambda: min_norm_inequality([(1, 1), (True, 1)]), "True"),
         (lambda: NormTailFamily([(0.5, 0.5)], 2), "0.5"),
         (lambda: Box.cube(0, 2, 2).contains((1.0, 1)), "1.0"),
         (lambda: lattice_hfold_sum([(0, 0), (1, 0.5)], 2, Box.cube(0, 2, 2)), "0.5"),
@@ -169,6 +171,30 @@ def test_norm_tail_family():
         NormTailFamily(((0, 0), (-1, 1)), 4)
     with pytest.raises(ConstructionError):
         NormTailFamily(((0, 0), (1, 1, 1)), 4)
+
+
+def test_norm_tail_layer_gates():
+    fam = NormTailFamily(((0, 0), (1, 1)), 2)
+    box = Box.cube(0, 3, 2)
+    cases = [
+        (lambda: fam.set_in_box(0, box), "layer index must be >= 1, got 0"),
+        (
+            lambda: fam.set_in_box(1, Box.cube(0, 3, 3)),
+            "box dimension does not match the family",
+        ),
+        (lambda: verify_lattice_theorem(fam, 0, 3, box), "h_max and Q must be >= 1"),
+        (lambda: verify_lattice_theorem(fam, 2, 0, box), "h_max and Q must be >= 1"),
+        # the core point (0, 0) lies outside [1, 3]^2
+        (
+            lambda: verify_lattice_theorem(fam, 2, 3, Box.cube(1, 3, 2)),
+            "the core must lie inside the box",
+        ),
+    ]
+    for build, text in cases:
+        with pytest.raises(InputError) as err:
+            build()
+        assert type(err.value) is InputError
+        assert str(err.value) == text
 
 
 def test_verify_lattice_theorem_frozen():

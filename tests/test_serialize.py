@@ -77,6 +77,15 @@ def test_lenient_number_parsing():
         set_from_json({"kind": "half-tail", "threshold": None})
 
 
+def test_unknown_objects_are_parse_errors():
+    with pytest.raises(ParseError) as err:
+        set_to_json(42)
+    assert str(err.value) == "unserializable set node int"
+    with pytest.raises(ParseError) as err:
+        report_from_json({})
+    assert str(err.value) == "malformed report JSON: 'config'"
+
+
 def test_set_parse_errors():
     with pytest.raises(ParseError):
         set_from_json({"elements": ["1"]})

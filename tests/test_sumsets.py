@@ -797,6 +797,17 @@ def test_rep_count_range_cap():
         representation_count(half_tail(0), 2, 10**6)
 
 
+def test_rep_count_and_product_need_h_at_least_1():
+    for build in (
+        lambda: representation_count(finite([1]), 0, 2),
+        lambda: representation_count(finite([1]), 0, 2, mode="mult"),
+        lambda: hfold_product(finite([1]), 0, Window(-3, 3)),
+    ):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == "h must be >= 1, got 0"
+
+
 # -- product sets -----------------------------------------------------------
 
 
