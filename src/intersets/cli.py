@@ -152,41 +152,29 @@ def _cmd_sumset(args) -> int:
         raise InputError(
             "no closed form for this sumset; pass --window LO:HI to enumerate"
         ) from None
-    if isinstance(res, Closed):
-        members = (
-            sorted(members_in(res, args.window)) if args.window is not None else None
-        )
-        if args.format == "json":
-            result = {"kind": "closed", "set": set_to_json(res.set)}
-            if members is not None:
-                result["window"] = {
-                    "lo": str(args.window.lo),
-                    "hi": str(args.window.hi),
-                }
-                result["members"] = [str(x) for x in members]
-            payload = {"h": str(args.h), "input": set_to_json(s), "result": result}
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        elif members is not None:
-            _emit("\n".join(["x"] + [str(x) for x in members]) + "\n", args.out)
-        else:
-            _emit("closed\t" + json.dumps(set_to_json(res.set)) + "\n", args.out)
-        return 0
+    members = (
+        None
+        if args.window is None
+        else [str(x) for x in sorted(members_in(res, args.window))]
+    )
     if args.format == "json":
-        payload = {
-            "h": str(args.h),
-            "input": set_to_json(s),
-            "result": {
-                "kind": "windowed",
-                "window": {"lo": str(res.window.lo), "hi": str(res.window.hi)},
-                "members": [str(x) for x in res.members],
-                "complete": res.complete,
-                "generation_radius": str(res.generation_radius),
-            },
-        }
+        result = (
+            {"kind": "closed", "set": set_to_json(res.set)}
+            if isinstance(res, Closed)
+            else {"kind": "windowed"}
+        )
+        if members is not None:
+            result["window"] = {"lo": str(args.window.lo), "hi": str(args.window.hi)}
+            result["members"] = members
+        if not isinstance(res, Closed):
+            result["complete"] = res.complete
+            result["generation_radius"] = str(res.generation_radius)
+        payload = {"h": str(args.h), "input": set_to_json(s), "result": result}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    elif members is not None:
+        _emit("\n".join(["x", *members]) + "\n", args.out)
     else:
-        lines = ["x"] + [str(x) for x in res.members]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("closed\t" + json.dumps(set_to_json(res.set)) + "\n", args.out)
     return 0
 
 

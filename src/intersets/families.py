@@ -157,16 +157,20 @@ class CongruenceChainFamily(Family):
     kind = "congruence-chain"
     fields = {"core": "ints", "m1": "int", "moduli": "ints", "ratio": "int"}
 
-    def __init__(self, core, m1: int | None = None, ratio: int = 2, moduli=None):
+    def __init__(
+        self, core, m1: int | None = None, ratio: int | None = None, moduli=None
+    ):
         elements = tuple(sorted(set(int(a) for a in core)))
         if not elements:
             raise ConstructionError("core must be a nonempty finite set")
-        if ratio < 2:
+        if ratio is not None and ratio < 2:
             raise ConstructionError(f"modulus ratio must be >= 2, got {ratio}")
         self.core = elements
         self.m_star = max(abs(a) for a in elements)
-        self.ratio = ratio
+        self.ratio = 2 if ratio is None else ratio
         if moduli is not None:
+            if m1 is not None:
+                raise ConstructionError("give either m1 or a modulus chain, not both")
             chain = tuple(int(m) for m in moduli)
             if not chain:
                 raise ConstructionError("modulus chain must be nonempty")
@@ -179,6 +183,10 @@ class CongruenceChainFamily(Family):
             self.moduli = chain
             if len(chain) > 1:
                 self.ratio = chain[-1] // chain[-2]
+                if ratio not in (None, self.ratio):
+                    raise ConstructionError(
+                        f"ratio {ratio} differs from the chain's ratio {self.ratio}"
+                    )
         else:
             if m1 is None:
                 raise ConstructionError("either m1 or a modulus chain is required")

@@ -46,9 +46,11 @@ class Box:
 
     def __post_init__(self):
         bounds = tuple(_int_coords(b, "box bounds") for b in self.bounds)
-        for lo, hi in bounds:
-            if lo > hi:
-                raise InputError(f"box bound {lo} exceeds {hi}")
+        for b in bounds:
+            if len(b) != 2:
+                raise InputError(f"box bounds must be (lo, hi) pairs, got {b!r}")
+            if b[0] > b[1]:
+                raise InputError(f"box bound {b[0]} exceeds {b[1]}")
         object.__setattr__(self, "bounds", bounds)
 
     @staticmethod
@@ -172,6 +174,8 @@ class NormTailFamily:
             raise ConstructionError("core points must be nonnegative")
         self.core = pts
         self.dim = dims.pop()
+        if type(m_star_sq) not in (int, Fraction):
+            raise InputError(f"m*^2 must be an int or a Fraction, got {m_star_sq!r}")
         self.m_star_sq = Fraction(m_star_sq)
         worst = max(_norm_sq(p) for p in pts)
         if self.m_star_sq < worst:

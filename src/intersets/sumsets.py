@@ -172,8 +172,6 @@ def query(result: SumsetResult, x: int) -> Membership3:
 
 
 def members_in(result: SumsetResult, window: Window) -> set[int]:
-    if isinstance(result, Closed):
-        return set(materialize(result.set, window))
     return set(mask_members(window_mask(result, window), window.lo))
 
 
@@ -207,11 +205,11 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
     closes.
 
     Otherwise a union distributes: A + (B | C) = (A + B) | (A + C).  When
-    exactly one operand is a Union of at most _FINITE_FOLD_CAP parts, the
-    sum is the union of the partner's sums with each part, provided every
-    part closes.  If one part does not close, the rules below run as if
-    the distribution had not been tried; two Unions are distributed only
-    after those rules.
+    an operand is a Union of at most _FINITE_FOLD_CAP parts, the sum is the
+    union of the partner's sums with each part, provided every part
+    closes; two Unions are tried in both orders.  If no distribution
+    closes, the rules below run as if it had not been tried.  None of them
+    fires on two Unions: each needs a finite, cofinite-class or ray operand.
     """
     if isinstance(x, Empty) or isinstance(y, Empty):
         return EMPTY
@@ -222,9 +220,8 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
         return congruence(g, sums)
     if (res := _sum_finite_rays(x, y)) is not None:
         return res
-    if isinstance(x, Union) != isinstance(y, Union):
-        res = _distribute(x, y) if isinstance(x, Union) else _distribute(y, x)
-        if res is not None:
+    for a, b in ((x, y), (y, x)):
+        if isinstance(a, Union) and (res := _distribute(a, b)) is not None:
             return res
     for a, b in ((x, y), (y, x)):
         if isinstance(a, Finite) and len(a.elements) <= _FINITE_FOLD_CAP:
@@ -235,16 +232,11 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
             return union(*(shift(b, e) for e in a.elements))
     for a, b in ((x, y), (y, x)):
         # a cofinite class absorbs any infinite partner
-        if isinstance(a, (Cofinite, Tail)) and is_infinite(b) is True:
+        if isinstance(a, (Cofinite, Tail)) and is_infinite(b):
             return ALL
     for a, b in ((x, y), (y, x)):
         if isinstance(a, HalfTail) or as_down_tail(a) is not None:
             res = _sum_ray(a, b)
-            if res is not None:
-                return res
-    if isinstance(x, Union) and isinstance(y, Union):
-        for a, b in ((x, y), (y, x)):
-            res = _distribute(a, b)
             if res is not None:
                 return res
     return None
@@ -718,7 +710,7 @@ def _rep_infinite(s: IntSet, h: int, x: int) -> bool:
         target = x - (h - 2) * a
         mirrored = normalize(Affine(-1, target, s))
         pair_set = normalize(Intersection((s, mirrored)))
-        if is_infinite(pair_set) is True:
+        if is_infinite(pair_set):
             return True
     return False
 

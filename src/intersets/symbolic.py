@@ -497,8 +497,8 @@ def max_element(s: IntSet) -> int | None:
     return hi - _ELEMENT_SEARCH + bits.bit_length() - 1 if bits else None
 
 
-def is_infinite(s: IntSet) -> bool | None:
-    """True/False when decidable cheaply, None when unknown."""
+def is_infinite(s: IntSet) -> bool:
+    """True when s is provably infinite; False when it is finite or unknown."""
     if isinstance(s, (Empty, Finite)):
         return False
     if isinstance(s, (Cofinite, Congruence, Tail, HalfTail)):
@@ -506,12 +506,7 @@ def is_infinite(s: IntSet) -> bool | None:
     if isinstance(s, Affine):
         return is_infinite(s.inner)
     if isinstance(s, Union):
-        verdicts = [is_infinite(p) for p in s.parts]
-        if any(v is True for v in verdicts):
-            return True
-        if all(v is False for v in verdicts):
-            return False
-        return None
+        return any(is_infinite(p) for p in s.parts)
     if isinstance(s, Intersection):
         lo, hi = bounds(s)
         if lo is not None and hi is not None:
@@ -527,9 +522,8 @@ def is_infinite(s: IntSet) -> bool | None:
             # one congruence class cut by finitely many points and/or one ray
             half = any(isinstance(p, HalfTail) for p in rest)
             down = any(as_down_tail(p) is not None for p in rest)
-            if not (half and down):
-                return True
-        return None
+            return not (half and down)
+        return False
     raise TypeError(f"not an IntSet: {s!r}")
 
 
@@ -566,8 +560,6 @@ def count_in_interval(s: IntSet, a: int, b: int) -> int | None:
             return count_in_interval(s.inner, a - s.shift, b - s.shift)
         return count_in_interval(s.inner, s.shift - b, s.shift - a)
     if isinstance(s, Union):
-        if len(s.parts) == 1:
-            return count_in_interval(s.parts[0], a, b)
         return None
     if isinstance(s, Intersection):
         lo, hi = a, b
@@ -599,18 +591,6 @@ def count_in_interval(s: IntSet, a: int, b: int) -> int | None:
     raise TypeError(f"not an IntSet: {s!r}")
 
 
-def intersects_interval(s: IntSet, a: int, b: int) -> bool | None:
-    if isinstance(s, Union):
-        verdicts = [intersects_interval(p, a, b) for p in s.parts]
-        if any(v is True for v in verdicts):
-            return True
-        if all(v is False for v in verdicts):
-            return False
-        return None
-    n = count_in_interval(s, a, b)
-    return None if n is None else n > 0
-
-
 # ---------------------------------------------------------------------------
 # subset test (sound, may return False on unknown)
 
@@ -624,14 +604,13 @@ def is_subset(x: IntSet, y: IntSet) -> bool:
         return all(contains(y, e) for e in x.elements)
     if isinstance(y, Finite):
         return False  # x is not finite here
+    if isinstance(x, Union):
+        return all(is_subset(p, y) for p in x.parts)
     d = _co_desc(y)
     if d is not None:
         if d[0] == "list":
             return all(not contains(x, e) for e in d[1])
-        hit = intersects_interval(x, d[1], d[2])
-        return hit is False
-    if isinstance(x, Union):
-        return all(is_subset(p, y) for p in x.parts)
+        return count_in_interval(x, d[1], d[2]) == 0
     if isinstance(x, Intersection):
         if any(is_subset(p, y) for p in x.parts):
             return True
@@ -862,6 +841,7 @@ def _norm_intersection(parts) -> IntSet:
             items.append(p)
     if not items:
         return ALL
+    items.sort(key=_key)
 
     changed = True
     while changed and len(items) > 1:

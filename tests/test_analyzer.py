@@ -643,6 +643,13 @@ def test_scaled_family_report_frozen():
     ]
 
 
+def test_certified_path_raises_a_small_gen_radius_to_the_window_radius():
+    fam = TailFamily(finite(range(0, 60, 2)))
+    small = compute_H(fam, 3, HConfig(gen_radius=5))
+    assert small.verdicts == compute_H(fam, 3, HConfig(gen_radius=24)).verdicts
+    assert "(generation radius 24)" in small.verdict(3).evidence
+
+
 def test_empirical_path_reports_core_sums_the_layer_folds_miss():
     # the core {-120, 120} sums to 0, but every other member of a layer
     # lies at or above 2q: summands within the generation radius reach 0

@@ -502,6 +502,22 @@ def test_hset_chain_ratio_below_2_is_one_error_line(modulus, monkeypatch, capsys
     assert captured.err == "error: modulus ratio must be >= 2, got 1\n"
 
 
+@pytest.mark.parametrize(
+    "extra, text",
+    [
+        ({"ratio": "4"}, "ratio 4 differs from the chain's ratio 3"),
+        ({"m1": "7"}, "give either m1 or a modulus chain, not both"),
+    ],
+    ids=["ratio", "m1"],
+)
+def test_hset_chain_value_it_would_drop_is_one_error_line(extra, text, monkeypatch, capsys):
+    doc = {"family": "congruence-chain", "core": ["0", "1"], "moduli": ["5", "15"]}
+    assert _hset_stdin({**doc, **extra}, monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {text}\n"
+
+
 def test_hset_chain_core_past_the_fold_cap(monkeypatch, capsys):
     doc = {**_CHAIN, "core": [str(x) for x in range(0, 60, 2)], "m1": "200"}
     assert _hset_stdin(doc, monkeypatch) == 0

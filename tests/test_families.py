@@ -58,6 +58,9 @@ def test_chain_gates():
         ({"moduli": (5,), "ratio": 1}, "modulus ratio must be >= 2, got 1"),
         ({"moduli": (5, 15), "ratio": 0}, "modulus ratio must be >= 2, got 0"),
         ({"moduli": ()}, "modulus chain must be nonempty"),
+        # a given value is never dropped or replaced
+        ({"moduli": (5, 15), "ratio": 4}, "ratio 4 differs from the chain's ratio 3"),
+        ({"m1": 7, "moduli": (5, 15)}, "give either m1 or a modulus chain, not both"),
     ],
 )
 def test_chain_error_texts(kwargs, text):

@@ -26,6 +26,17 @@ def test_box_basics():
     assert len(list(b.points())) == 25
     with pytest.raises(InputError):
         Box(((2, -2),))
+    with pytest.raises(InputError) as err:
+        Box(((0, 1, 2),))
+    assert str(err.value) == "box bounds must be (lo, hi) pairs, got (0, 1, 2)"
+
+
+@pytest.mark.parametrize("m_star_sq", [2.1, True, "2"])
+def test_norm_tail_m_star_sq_must_be_an_int_or_a_fraction(m_star_sq):
+    with pytest.raises(InputError) as err:
+        NormTailFamily([(1, 1)], m_star_sq)
+    assert str(err.value) == f"m*^2 must be an int or a Fraction, got {m_star_sq!r}"
+    assert NormTailFamily([(1, 1)], Fraction(5, 2)).m_star_sq == Fraction(5, 2)
 
 
 @pytest.mark.parametrize(
@@ -53,6 +64,7 @@ def test_lattice_hfold_frozen():
     assert fold == {
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
     }
+    assert lattice_hfold_sum([], 2, Box.cube(0, 2, 2)) == frozenset()
 
 
 @pytest.mark.parametrize(

@@ -353,6 +353,15 @@ def test_intersect_reproduces_pinned_term(i):
     assert members(n, window) == members(Intersection(tuple(parts)), window)
 
 
+def test_pinned_terms_do_not_depend_on_the_order_of_their_parts():
+    rng = random.Random(6)
+    for case in CASES:
+        parts = [build_part(p) for p in case["parts"]]
+        orders = [parts[::-1]] + [rng.sample(parts, len(parts)) for _ in range(6)]
+        for order in orders:
+            assert repr(intersect(*order)) == case["normal"], case["parts"]
+
+
 if __name__ == "__main__":
     rows = []
     for c in draw_cases():

@@ -47,7 +47,6 @@ from intersets.symbolic import (
     _primitive_congruence,
     co_interval_bounds,
     count_in_interval,
-    intersects_interval,
     mask_members,
     spiral_first,
     spiral_key,
@@ -717,7 +716,12 @@ def test_count_in_interval_leaves_two_classes_past_the_lcm_cap_open():
     s = intersect(congruence(1009, [1]), congruence(1013, [2]))
     assert isinstance(s, Intersection)
     assert count_in_interval(s, 0, 1009 * 1013 - 1) is None
-    assert intersects_interval(s, 0, 1009 * 1013 - 1) is None
+
+
+def test_is_infinite_reads_two_classes_past_the_lcm_cap_as_unproven():
+    # they meet in one point per 1009 * 1013, but no rewrite shows it
+    s = intersect(congruence(1009, [1]), congruence(1013, [2]))
+    assert symbolic.is_infinite(s) is False
 
 
 rays = st.one_of(halves, st.integers(-10, 10).map(down_tail))
