@@ -4,6 +4,7 @@ and named verification scenarios with deterministic TSV or JSON output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,9 +37,11 @@ def _add_common(p: argparse.ArgumentParser, fmt_default: str, choices) -> None:
     p.add_argument("--out", default=None, metavar="FILE")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # the scenario layer loads here, not with the package: `verify` lists
-    # its ids as choices
+    # one parser per process: parsing reads it and never changes it, and
+    # help reads COLUMNS when it is formatted.  The scenario layer loads
+    # here, not with the package: `verify` lists its ids as choices
     from .scenarios import scenario_ids
 
     top = argparse.ArgumentParser(

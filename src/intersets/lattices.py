@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import mul
 
 from .errors import CapError, ConstructionError, InputError
@@ -131,7 +131,12 @@ class MinNormCheck:
 def min_norm_inequality(vectors) -> MinNormCheck:
     """Exact check that the norm of a sum of k nonnegative nonzero
     vectors is at least sqrt(k) times the smallest norm, in squares."""
-    vs = [_int_coords(v) for v in vectors]
+    vs = list(map(tuple, vectors))
+    if not {*map(type, chain.from_iterable(vs))} <= _INT:
+        # one pass decides; the vectors are read again only to name the
+        # first value that is not an int
+        for v in vs:
+            _int_coords(v)
     if not vs:
         raise InputError("at least one vector is required")
     dim = len(vs[0])

@@ -691,35 +691,40 @@ def _run_open_intervals(opts: ScenarioOptions, run: _Run) -> None:
 # lattice scenarios
 
 
-def _randbelow(rng: random.Random):
-    """A below(n) that draws what rng.randrange(n) draws: randrange's own
-    getrandbits rejection rule, without its argument checks."""
-    bits = rng.getrandbits
-
-    def below(n: int) -> int:
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return r
-
-    return below
-
-
 def _vector_min_samples(seed: int, count: int):
     """count lists of k <= 8 vectors of dimension d <= 5 with entries in
     0..9, one entry of each vector at least 1.  rng.randint(a, b) draws
-    a + below(b - a + 1), so these are the samples randint would give."""
-    below = _randbelow(random.Random(seed))
+    a + rng.randrange(b - a + 1), and randrange(n) draws getrandbits(k),
+    k = n.bit_length(), until the value is below n; each draw here is
+    that loop inline, so these are the samples randint would give."""
+    bits = random.Random(seed).getrandbits
     for _ in range(count):
-        k = 1 + below(8)
-        d = 1 + below(5)
+        k = bits(4)
+        while k >= 8:
+            k = bits(4)
+        k += 1
+        d = bits(3)
+        while d >= 5:
+            d = bits(3)
+        d += 1
+        dk = d.bit_length()
         vs = []
         for _ in range(k):
-            v = [below(10) for _ in range(d)]
-            # Python evaluates the right side before the index, so the
-            # entry is drawn first here as it was with randint
-            v[below(d)] = 1 + below(9)
+            v = []
+            for _ in range(d):
+                r = bits(4)
+                while r >= 10:
+                    r = bits(4)
+                v.append(r)
+            # randint's `v[randrange(d)] = randint(1, 9)` draws the entry
+            # before its index: Python evaluates the right side first
+            r = bits(4)
+            while r >= 9:
+                r = bits(4)
+            i = bits(dk)
+            while i >= d:
+                i = bits(dk)
+            v[i] = 1 + r
             vs.append(tuple(v))
         yield vs
 

@@ -479,20 +479,39 @@ def bounds(s: IntSet) -> tuple[int | None, int | None]:
     raise TypeError(f"not an IntSet: {s!r}")
 
 
+def _ray_class(s: IntSet) -> Congruence | None:
+    """The congruence when s intersects one congruence with one ray."""
+    if isinstance(s, Intersection) and len(s.parts) == 2:
+        for c, ray in (s.parts, s.parts[::-1]):
+            if isinstance(c, Congruence) and c.residues and (
+                isinstance(ray, HalfTail) or as_down_tail(ray) is not None
+            ):
+                return c
+    return None
+
+
 def min_element(s: IntSet) -> int | None:
-    """Smallest element when a lower bound is known and attained nearby."""
+    """Smallest element when a lower bound is known and attained nearby,
+    or at any distance in one congruence class cut by a ray."""
     lo, _ = bounds(s)
     if lo is None:
         return None
+    c = _ray_class(s)
+    if c is not None:
+        return lo + min((r - lo) % c.modulus for r in c.residues)
     bits = window_bits(s, lo, lo + _ELEMENT_SEARCH)
     return lo + (bits & -bits).bit_length() - 1 if bits else None
 
 
 def max_element(s: IntSet) -> int | None:
-    """Largest element when an upper bound is known and attained nearby."""
+    """Largest element when an upper bound is known and attained nearby,
+    or at any distance in one congruence class cut by a ray."""
     _, hi = bounds(s)
     if hi is None:
         return None
+    c = _ray_class(s)
+    if c is not None:
+        return hi - min((hi - r) % c.modulus for r in c.residues)
     bits = window_bits(s, hi - _ELEMENT_SEARCH, hi)
     return hi - _ELEMENT_SEARCH + bits.bit_length() - 1 if bits else None
 

@@ -144,6 +144,20 @@ def vector_min_samples(seed: int, count: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
+def min_norm_check(vectors) -> tuple[int, int, int, bool]:
+    """The fields of a MinNormCheck, coordinate by coordinate: k, the
+    squared norm of the sum, k times the least squared norm, and whether
+    the first is at least the second."""
+    k = len(vectors)
+    total = [0] * len(vectors[0])
+    for v in vectors:
+        for i, x in enumerate(v):
+            total[i] += x
+    sum_norm_sq = sum(x * x for x in total)
+    k_times_min_sq = k * min(sum(x * x for x in v) for v in vectors)
+    return k, sum_norm_sq, k_times_min_sq, sum_norm_sq >= k_times_min_sq
+
+
 def _in_any(pairs):
     """Membership in the union of the open intervals (a, b) of pairs: x is
     inside when an interval that starts below x ends above it."""

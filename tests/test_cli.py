@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from intersets.cli import main
+from intersets.cli import _build_parser, main
 from intersets.serialize import TSV_COLUMNS, report_from_json
 
 FAMILY_JSON = {
@@ -523,3 +523,32 @@ def test_hset_chain_core_past_the_fold_cap(monkeypatch, capsys):
     assert _hset_stdin(doc, monkeypatch) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split("\t")[1] for r in rows] == ["CertifiedIn", "EmpiricalEqual"]
+
+
+def test_one_parser_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_calls_in_one_process_print_what_each_prints_alone(family_file, capsys):
+    # options given to one call (--format json) must not carry over to the
+    # next one that leaves them at their defaults
+    calls = [
+        ["verify", "sharp", "--format", "json"],
+        ["verify", "sharp"],
+        ["hset", "--family", family_file, "--hmax", "3", "--format", "json"],
+        ["sumset", "--set", "halftail:2", "--h", "3"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    _build_parser.cache_clear()
+    together = [run(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run(argv))
+    assert together == alone
+    assert [code for code, _ in together] == [0, 0, 0, 0]
+    assert together[1][1].out != together[0][1].out

@@ -1,5 +1,6 @@
 """Lattice sums in Z^d: boxes, folds, norm inequality, norm-tail layers."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from intersets import (
     verify_lattice_theorem,
 )
 
-from oracles import lattice_fold
+from oracles import lattice_fold, min_norm_check, vector_min_samples
 
 
 def test_box_basics():
@@ -117,6 +118,14 @@ def test_min_norm_inequality():
         min_norm_inequality([(0, 0)])
     with pytest.raises(InputError):
         min_norm_inequality([(1, 0), (1, 0, 0)])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_min_norm_check_fields_match_a_direct_computation(seed):
+    # the scenario reads only .holds; every field is checked here
+    for vs in vector_min_samples(seed, 2_000):
+        got = dataclasses.astuple(min_norm_inequality(vs))
+        assert got == min_norm_check(vs)
 
 
 def test_min_norm_inequality_error_texts():

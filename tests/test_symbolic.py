@@ -1,6 +1,7 @@
 """Term language invariants: normalization, membership, subset soundness."""
 
 import dataclasses
+import itertools
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -366,8 +367,12 @@ def test_bounds_bracket_every_member(s):
 @settings(max_examples=150)
 def test_min_max_element_match_a_contains_scan(s, search):
     # the same range as a scan of `contains` from the known bound inward;
-    # a narrow search leaves some members of these sets out of reach
+    # a narrow search leaves some members of these sets out of reach, but
+    # one congruence class cut by a ray is read at any distance, and its
+    # end lies within one period of the bound
     lo, hi = bounds(s)
+    if (cls := symbolic._ray_class(s)) is not None:
+        search = max(search, cls.modulus)
     least = None if lo is None else next(
         (x for x in range(lo, lo + search + 1) if contains(s, x)), None
     )
@@ -387,10 +392,38 @@ def test_min_max_element_read_one_mask(monkeypatch):
     calls = []
     monkeypatch.setattr(symbolic, "contains", lambda s, x: calls.append(x))
     assert symbolic.min_element(term) is None
-    assert symbolic.max_element(negate(far)) is None
+    assert symbolic.max_element(negate(term)) is None
     assert symbolic.min_element(HalfTail(10**6)) == 10**6
     assert symbolic.max_element(Union((down_tail(-5), finite([7])))) == 7
+    # residue arithmetic reads no mask and no membership
+    assert symbolic.min_element(far) == 70001
     assert calls == []
+
+
+def test_min_max_element_of_a_class_cut_by_a_ray_at_any_distance():
+    assert symbolic.min_element(intersect(congruence(70001, [0]), half_tail(1))) == 70001
+    assert symbolic.max_element(intersect(congruence(70001, [0]), down_tail(-1))) == -70001
+    assert symbolic.min_element(intersect(congruence(70001, [5, 9]), half_tail(10))) == 70006
+    assert symbolic.max_element(intersect(congruence(70001, [5, 9]), down_tail(-10))) == -69992
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_min_max_element_of_a_class_cut_by_a_ray_match_a_window_scan(m):
+    # every nonempty residue set of the small moduli, and one or two
+    # residues of the larger ones; rays on both sides of each residue
+    sizes = range(1, m + 1) if m <= 5 else (1, 2)
+    for size in sizes:
+        for res in itertools.combinations(range(m), size):
+            cls = Congruence(m, res)
+            for t in range(-m - 2, m + 3):
+                # the end lies within one period of the ray's bound
+                up, down = HalfTail(t), down_tail(t)
+                least = materialize(intersect(cls, up), Window(t, t + m - 1))[0]
+                most = materialize(intersect(cls, down), Window(t - m + 1, t))[-1]
+                for pair in ((cls, up), (up, cls)):
+                    assert symbolic.min_element(Intersection(pair)) == least
+                for pair in ((cls, down), (down, cls)):
+                    assert symbolic.max_element(Intersection(pair)) == most
 
 
 def test_bounds_visits_each_part_once(monkeypatch):
