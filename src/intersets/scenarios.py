@@ -691,55 +691,42 @@ def _run_open_intervals(opts: ScenarioOptions, run: _Run) -> None:
 # lattice scenarios
 
 
-def _vector_min_samples(seed: int, count: int):
-    """count lists of k <= 8 vectors of dimension d <= 5 with entries in
-    0..9, one entry of each vector at least 1.  rng.randint(a, b) draws
-    a + rng.randrange(b - a + 1), and randrange(n) draws getrandbits(k),
-    k = n.bit_length(), until the value is below n; each draw here is
-    that loop inline, so these are the samples randint would give."""
-    bits = random.Random(seed).getrandbits
-    for _ in range(count):
-        k = bits(4)
-        while k >= 8:
-            k = bits(4)
-        k += 1
-        d = bits(3)
-        while d >= 5:
-            d = bits(3)
-        d += 1
-        dk = d.bit_length()
-        vs = []
-        for _ in range(k):
-            v = []
-            for _ in range(d):
-                r = bits(4)
-                while r >= 10:
-                    r = bits(4)
-                v.append(r)
-            # randint's `v[randrange(d)] = randint(1, 9)` draws the entry
-            # before its index: Python evaluates the right side first
-            r = bits(4)
-            while r >= 9:
-                r = bits(4)
-            i = bits(dk)
-            while i >= d:
-                i = bits(dk)
-            v[i] = 1 + r
-            vs.append(tuple(v))
-        yield vs
+def _norm_excess(k: int, d: int) -> dict[tuple, int]:
+    """|v_1 + ... + v_k|^2 - sum |v_i|^2 over d coordinates, expanded: a
+    dict from each monomial x_a x_b, a <= b, over the variables a = (i, c)
+    (coordinate c of v_i) to its int coefficient, zero coefficients
+    dropped."""
+    poly: dict[tuple, int] = {}
+    for c in range(d):
+        column = [(i, c) for i in range(k)]
+        for a in column:  # (x_0c + ... + x_(k-1)c)^2, term by term
+            for b in column:
+                m = (min(a, b), max(a, b))
+                poly[m] = poly.get(m, 0) + 1
+        for a in column:
+            poly[a, a] -= 1
+    return {m: v for m, v in poly.items() if v}
 
 
 def _run_vector_min(opts: ScenarioOptions, run: _Run) -> None:
-    count = opts.samples or 10_000
-
-    failures = []
-    for i, vs in enumerate(_vector_min_samples(opts.seed, count)):
-        if not min_norm_inequality(vs).holds:
-            failures.append(i)
+    # a polynomial with positive coefficients and no squares is >= 0 on the
+    # nonnegative orthant, so |sum v_i|^2 >= sum |v_i|^2 >= k min |v_i|^2
+    # for every real nonnegative input; the coefficient sum is the excess
+    # at the all-ones point, d k^2 - d k
+    polys = {(k, d): _norm_excess(k, d) for k in range(1, 9) for d in range(1, 6)}
+    bad = [
+        (k, d)
+        for (k, d), poly in polys.items()
+        if any(a == b for a, b in poly)
+        or any(v <= 0 for v in poly.values())
+        or sum(poly.values()) != d * k * (k - 1)
+    ]
+    most = max(map(len, polys.values()))
     run.check(
-        f"inequality holds for all {count} random samples (k <= 8, dim <= 5)",
-        not failures,
-        _fmt_misses(failures) if failures else "no counterexample",
+        "|v_1 + ... + v_k|^2 - sum |v_i|^2 expands to positive cross terms "
+        "(k <= 8, dim <= 5)",
+        not bad,
+        _fmt_misses(bad) if bad else f"{len(polys)} (k, dim) pairs, at most {most} terms",
     )
 
     tight = min_norm_inequality([(1, 0, 0), (0, 1, 0), (0, 0, 1)])

@@ -144,6 +144,18 @@ def vector_min_samples(seed: int, count: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
+def norm_excess(k: int, d: int) -> dict[tuple, int]:
+    """|v_1 + ... + v_k|^2 - sum |v_i|^2 as the vector-min scenario keys
+    it: the squares cancel, and each coordinate c leaves 2 x_ic x_jc for
+    every pair i < j."""
+    return {
+        ((i, c), (j, c)): 2
+        for c in range(d)
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+
+
 def min_norm_check(vectors) -> tuple[int, int, int, bool]:
     """The fields of a MinNormCheck, coordinate by coordinate: k, the
     squared norm of the sum, k times the least squared norm, and whether

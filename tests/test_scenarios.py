@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from intersets.scenarios import (
     scenario_ids,
 )
 
-from oracles import vector_min_samples
+from oracles import norm_excess
 
 EXPECTED_IDS = {
     "integers-tail",
@@ -112,11 +113,25 @@ def test_seed_changes_random_draws():
     assert [x.detail for x in again.assertions] == [x.detail for x in a.assertions]
 
 
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_norm_excess_matches_the_cross_term_oracle(k, d):
+    assert scenarios._norm_excess(k, d) == norm_excess(k, d)
+
+
 @pytest.mark.parametrize("seed", [0, 7])
-def test_vector_min_samples_match_randint(seed):
-    # the golden JSON shows no sample, so only this catches a changed stream
-    got = list(scenarios._vector_min_samples(seed, 10_000))
-    assert got == vector_min_samples(seed, 10_000)
+def test_norm_excess_evaluates_to_the_norm_gap(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        k, d = rng.randint(1, 8), rng.randint(1, 5)
+        vs = [[rng.randint(0, 9) for _ in range(d)] for _ in range(k)]
+        total = [sum(col) for col in zip(*vs)]
+        gap = sum(x * x for x in total) - sum(x * x for v in vs for x in v)
+        value = sum(
+            coef * vs[i][c] * vs[j][e]
+            for ((i, c), (j, e)), coef in scenarios._norm_excess(k, d).items()
+        )
+        assert value == gap
 
 
 def test_cofinite_basis_names_the_first_uncovered_point(monkeypatch):
