@@ -73,7 +73,6 @@ from .sumsets import (
     Windowed,
     basis_order,
     default_radius,
-    hfold_product,
     members_in,
     query,
     representation_count,

@@ -1,7 +1,8 @@
-"""Finite abelian groups as explicit operation tables.
+"""Finite groups as explicit operation tables.
 
-Elements are indices 0..n-1; subsets are frozensets of indices.  Layered
-subset families here are finite lists, so their h-fold intersections are
+Elements are indices 0..n-1; subsets are frozensets of indices.  Folds
+need an associative table only, not an abelian one.  Layered subset
+families here are finite lists, so their h-fold intersections are
 computed exactly.
 """
 
@@ -18,7 +19,6 @@ from .errors import ConstructionError, DomainError
 @dataclass(frozen=True)
 class FiniteGroupTable:
     table: tuple[tuple[int, ...], ...]
-    identity: int
 
     @property
     def order(self) -> int:
@@ -35,7 +35,7 @@ class FiniteGroupTable:
         if n < 1:
             raise ConstructionError(f"order must be >= 1, got {n}")
         rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        return FiniteGroupTable(rows, 0)
+        return FiniteGroupTable(rows)
 
 
 def group_hfold(g: FiniteGroupTable, subset, h: int) -> frozenset[int]:
@@ -53,9 +53,10 @@ def group_hfolds(
 
 
 def _hfold_ladder(g: FiniteGroupTable, subset) -> Iterator[frozenset[int]]:
-    """hB for h = 1, 2, ..., each built from the one before: the table is
-    commutative, so (h+1)B is the union over b in B of row b read at the
-    elements of hB.  The subset is checked when the first fold is drawn."""
+    """hB for h = 1, 2, ..., each built from the one before: (h+1)B is the
+    union over b in B of row b read at the elements of hB, since
+    associativity alone makes B(hB) every product of h + 1 elements.  The
+    subset is checked when the first fold is drawn."""
     base = frozenset(subset)
     if any(not 0 <= a < g.order for a in base):
         raise DomainError("subset indices must lie inside the group")

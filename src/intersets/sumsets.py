@@ -1,4 +1,4 @@
-"""h-fold sumsets, product sets, and representation counts.
+"""h-fold sumsets and representation counts.
 
 Closed forms are produced by an exact rewrite system over the symbolic
 shapes; when no rule applies the computation falls back to windowed
@@ -93,7 +93,6 @@ from .symbolic import (
     Union,
     Window,
     IN,
-    MATERIALIZE_CAP,
     OUT,
     as_down_tail,
     bounds,
@@ -113,15 +112,12 @@ from .symbolic import (
     spiral_first,
     union,
     window_bits,
-    _bits_at,
     _divisors,
 )
 
 _FINITE_FOLD_CAP = 24
 _REP_RANGE_CAP = 400_000
-# largest |target| of a multiplicative count or product window: a count
-# trial-divides up to sqrt(|target|), and a product window lists the set's
-# members within the square root of its radius
+# largest |target| of a multiplicative count, which trial-divides to its root
 _MULT_TARGET_CAP = 10**10
 # (set, h) entries of the closed-fold memo: one pass of all 16 verify
 # scenarios fills 5,253 to 5,296 at seeds 0, 5 and 7
@@ -713,64 +709,6 @@ def _rep_infinite(s: IntSet, h: int, x: int) -> bool:
         if is_infinite(pair_set):
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# h-fold product sets
-
-
-def hfold_product(s: IntSet, h: int, window: Window) -> Windowed:
-    """Exact h-fold product set within the window (ordered factorizations).
-
-    The products are enumerated, never trial-divided out of window points.
-    Order the h factors of a window point x by size: each of the first
-    h - 1 divides x together with the last, at least as large, so it is at
-    most sqrt(r) in size, r = window.radius; and the first k multiply to at
-    most |x|**(k/h), so (their product)**h <= r**k.  So the products of
-    h - 1 factors from the members of s within sqrt(r) are built under
-    those bounds, and each is completed by the members of s that take it
-    into the window, read off one slice of s.  The slices' members are
-    counted first: above MATERIALIZE_CAP of them raise CapError before any
-    product is listed.
-    """
-    if h < 1:
-        raise DomainError(f"h must be >= 1, got {h}")
-    s = normalize(s)
-    if contains(s, 0):
-        raise DomainError("product sets require a set avoiding 0")
-    _check_mult_target(window.radius)
-    check_cap(window)
-
-    r = window.radius
-    root = math.isqrt(r)
-    small = sorted(materialize(s, Window(-root, root)), key=abs)
-    prods = {1}
-    for k in range(1, h):
-        top = r**k
-        nxt = set()
-        for p in prods:
-            for a in small:
-                if abs(p * a) ** h > top:
-                    break  # small ascends in size
-                nxt.add(p * a)
-        prods = nxt
-    slices, cost = [], 0
-    for p in prods:
-        q = abs(p)
-        # q * b lies in the window for b in [b_lo, b_hi], and p * a = q * b
-        # for a = b, or a = -b when p < 0
-        b_lo, b_hi = -(-window.lo // q), window.hi // q
-        a_lo, a_hi = (b_lo, b_hi) if p > 0 else (-b_hi, -b_lo)
-        bits = window_bits(s, a_lo, a_hi)
-        cost += bits.bit_count()
-        if cost > MATERIALIZE_CAP:
-            raise CapError(
-                f"{h}-fold products read more than {MATERIALIZE_CAP} members"
-            )
-        slices.append((p, a_lo, bits))
-    members = {p * a for p, a_lo, bits in slices for a in mask_members(bits, a_lo)}
-    offsets = [x - window.lo for x in members]
-    return Windowed(window, _bits_at(offsets, window.size), window.radius, True)
 
 
 # ---------------------------------------------------------------------------

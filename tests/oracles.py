@@ -36,23 +36,6 @@ def pair_sums(xs, ys) -> set[int]:
     return {x + y for x in xs for y in ys}
 
 
-def product_values(s, h: int, window: Window) -> set[int]:
-    """The nonzero window points that are products of h members of s, each
-    point split by trial division over every integer up to its size."""
-
-    @lru_cache(maxsize=None)
-    def product_of(k: int, v: int) -> bool:
-        if k == 1:
-            return contains(s, v)
-        return any(
-            contains(s, d) and product_of(k - 1, v // d)
-            for d in range(-abs(v), abs(v) + 1)
-            if d and v % d == 0
-        )
-
-    return {x for x in range(window.lo, window.hi + 1) if x and product_of(h, x)}
-
-
 def members(s, window: Window) -> list[int]:
     """The members of s in the window, by a `contains` scan."""
     return [x for x in range(window.lo, window.hi + 1) if contains(s, x)]

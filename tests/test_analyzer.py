@@ -31,6 +31,7 @@ from intersets import (
     compute_H_product,
     congruence,
     contains,
+    default_radius,
     down_tail,
     finite,
     half_tail,
@@ -168,8 +169,9 @@ def test_unclosed_certificate_falls_back_to_layer_folds(fam, h2):
 
 
 def test_half_tail_of_a_class_core_is_uncertified():
-    # 3Z is unbounded below, so no closed certificate exists and the layer
-    # folds cannot decide h >= 2 either
+    # 3Z is unbounded below, so for h >= 2 every layer fold is all of Z and
+    # the closed certificate ALL exists; the family does not build it yet,
+    # and the layer folds cannot decide h >= 2 either
     fam = HalfTailFamily(congruence(3, [0]))
     assert fam.certificate(2) is None
     assert compute_H(fam, 3).statuses == (CERTIFIED_IN, UNDETERMINED, UNDETERMINED)
@@ -371,6 +373,35 @@ def test_transfer_product_matches_direct():
         assert stitched.verdicts == direct.verdicts, (left.kind, right.kind)
     with pytest.raises(InputError):
         transfer_product(compute_H(left, 3), compute_H(right, 2))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        *PRODUCT_PAIRS,
+        # the product-closure scenario's pair
+        (TailFamily(FOURZ1), CongruenceChainFamily((0, 1, 3), m1=7)),
+    ],
+)
+def test_product_out_witnesses_recheck_by_brute_force(left, right):
+    # the pair's out verdicts are re-derived from the components' layers,
+    # not from their reports: each coordinate is a member of its layer-fold
+    # intersection (a representation is exhibited), and some coordinate is
+    # certifiably outside its core's fold
+    for v in compute_H(ProductFamily(left, right), 3).verdicts:
+        if v.status != CERTIFIED_OUT:
+            continue
+        outside = []
+        for component, w in zip((left, right), v.witness):
+            R = default_radius(
+                Window(-abs(w) - 1, abs(w) + 1), v.h, component.layer_reach(v.Q)
+            )
+            win = Window(w, w)
+            assert w in layer_fold_intersection(component, v.h, win, v.Q, R)
+            core_fold = windowed_fold(component.intersection(), v.h, win, R)
+            if verify_out_witness(component, v.h, w):
+                outside.append(w not in core_fold)
+        assert outside and all(outside), (v.h, v.witness)
 
 
 small_sets = st.sets(st.integers(-6, 6), max_size=4)

@@ -1,4 +1,6 @@
-"""Finite abelian group tables and exact subset-chain analysis."""
+"""Finite group tables and exact subset-chain analysis."""
+
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,20 +14,27 @@ from intersets import (
 )
 
 
-def _assert_abelian_group(g):
-    """The table's group axioms, checked in full: identity, rows that are
-    permutations, commutativity and associativity."""
+def _assert_group(g):
+    """The table's group axioms, checked in full: rows that are
+    permutations, associativity, and a row that is the identity
+    permutation."""
     elems = range(g.order)
     assert all(len(row) == g.order for row in g.table)
-    assert all(g.add(g.identity, i) == i for i in elems)
     assert all(sorted(g.table[i]) == list(elems) for i in elems)
-    assert all(g.add(i, j) == g.add(j, i) for i in elems for j in elems)
     assert all(
         g.add(g.add(i, j), k) == g.add(i, g.add(j, k))
         for i in elems
         for j in elems
         for k in elems
     )
+    assert tuple(elems) in g.table
+
+
+def _assert_abelian_group(g):
+    """The group axioms and commutativity."""
+    _assert_group(g)
+    elems = range(g.order)
+    assert all(g.add(i, j) == g.add(j, i) for i in elems for j in elems)
 
 
 def _product_table(n1: int, n2: int) -> FiniteGroupTable:
@@ -35,14 +44,26 @@ def _product_table(n1: int, n2: int) -> FiniteGroupTable:
         for a in range(n1)
         for b in range(n2)
     )
-    return FiniteGroupTable(rows, 0)
+    return FiniteGroupTable(rows)
+
+
+def _s3_table() -> FiniteGroupTable:
+    """The symmetric group S3: the permutations of (0, 1, 2) in
+    lexicographic order, multiplied by composition, (p * q)(i) = p(q(i))."""
+    perms = list(permutations(range(3)))
+    index = {p: k for k, p in enumerate(perms)}
+    rows = tuple(
+        tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms)
+        for p in perms
+    )
+    return FiniteGroupTable(rows)
 
 
 def test_cyclic_table():
     g = FiniteGroupTable.cyclic(5)
     assert g.order == 5
     assert g.add(3, 4) == 2
-    assert g.identity == 0
+    assert g.table[0] == tuple(range(5))
     _assert_abelian_group(g)
     with pytest.raises(ConstructionError):
         FiniteGroupTable.cyclic(0)
@@ -127,11 +148,29 @@ def test_group_hfolds_ladder_matches_each_hfold(g):
         for h, fold in enumerate(ladder, 1):
             assert fold == group_hfold(g, subset, h)
             # brute force: every h-tuple of the subset, summed in the table
-            sums = {g.identity}
-            for _ in range(h):
+            sums = set(subset)
+            for _ in range(h - 1):
                 sums = {g.add(a, b) for a in sums for b in subset}
             assert fold == frozenset(sums)
     assert group_hfolds(g, {0}, 0) == ()
+
+
+def test_group_hfolds_need_only_associativity():
+    # S3 is not abelian, yet each fold is every left-to-right product
+    g = _s3_table()
+    _assert_group(g)
+    assert g.add(1, 2) != g.add(2, 1)
+    subsets = [
+        set(sub)
+        for size in range(4)
+        for sub in combinations(range(g.order), size)
+    ]
+    assert len(subsets) == 42
+    for subset in subsets:
+        products = set(subset)
+        for fold in group_hfolds(g, subset, 5):
+            assert fold == frozenset(products)
+            products = {g.add(a, b) for a in products for b in subset}
 
 
 def test_group_hfold_errors_are_unchanged():

@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 from collections import Counter
 from unittest import mock
 
@@ -37,7 +36,6 @@ from intersets.sumsets import (
     Windowed,
     basis_order,
     default_radius,
-    hfold_product,
     members_in,
     query,
     representation_count,
@@ -60,7 +58,6 @@ from oracles import (
     fold_values,
     members,
     pair_sums,
-    product_values,
     rep_count,
     spiral,
     windowed_fold,
@@ -801,29 +798,19 @@ def test_rep_count_and_product_need_h_at_least_1():
     for build in (
         lambda: representation_count(finite([1]), 0, 2),
         lambda: representation_count(finite([1]), 0, 2, mode="mult"),
-        lambda: hfold_product(finite([1]), 0, Window(-3, 3)),
     ):
         with pytest.raises(DomainError) as err:
             build()
         assert str(err.value) == "h must be >= 1, got 0"
 
 
-# -- product sets -----------------------------------------------------------
-
-
-def test_hfold_product():
-    r = hfold_product(finite([1, 2]), 2, Window(0, 10))
-    assert set(r.members) == {1, 2, 4}
-    assert r.complete
-    with pytest.raises(DomainError):
-        hfold_product(finite([0, 2]), 2, Window(0, 10))
+# -- multiplicative counts --------------------------------------------------
 
 
 def test_mult_target_cap_precedes_trial_division(monkeypatch):
     cap = sumsets._MULT_TARGET_CAP
     # the cap itself is admitted
     assert representation_count(finite([10**5]), 2, cap, mode="mult").count == 1
-    assert hfold_product(finite([10**5]), 2, Window(cap, cap)).members == (cap,)
     calls = []
     monkeypatch.setattr(
         sumsets, "_signed_divisors", lambda v: calls.append(v) or ()
@@ -831,67 +818,7 @@ def test_mult_target_cap_precedes_trial_division(monkeypatch):
     for x in (cap + 1, -(cap + 1), 10**18):
         with pytest.raises(CapError):
             representation_count(cofinite([0]), 2, x, mode="mult")
-    with pytest.raises(CapError):
-        hfold_product(finite([1, 2]), 2, Window(cap + 1, cap + 1))
-    with pytest.raises(CapError):
-        hfold_product(finite([1, 2]), 2, Window(-(cap + 1), 10))
     assert calls == []
-
-
-def test_hfold_product_caps_the_window_before_trial_division(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        sumsets, "_signed_divisors", lambda v: calls.append(v) or ()
-    )
-    lo = -(MATERIALIZE_CAP // 2)
-    win = Window(lo, lo + MATERIALIZE_CAP)
-    assert win.size == MATERIALIZE_CAP + 1
-    with pytest.raises(CapError, match=f"window of size {win.size} exceeds"):
-        hfold_product(finite([2, 3]), 2, win)
-    assert calls == []
-
-
-_avoiding_zero = st.one_of(
-    st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=6).map(finite),
-    st.lists(st.integers(-9, 9), max_size=3).map(lambda xs: cofinite([0, *xs])),
-    st.sampled_from(
-        [
-            congruence(5, (1, 4)),
-            congruence(6, (2, 3, 5)),
-            union(half_tail(3), finite([-2])),
-            union(down_tail(-4), finite([1, 7])),
-        ]
-    ),
-)
-
-
-@given(_avoiding_zero, st.integers(1, 4), st.integers(-90, 90), st.integers(0, 40))
-@settings(max_examples=120, deadline=None)
-def test_hfold_product_matches_trial_division(s, h, lo, width):
-    win = Window(lo, lo + width)
-    got = hfold_product(s, h, win)
-    assert list(got.members) == sorted(product_values(s, h, win))
-    assert got.complete
-
-
-def test_hfold_product_cost_follows_the_products():
-    # the largest admitted window around 0, and three products in it
-    win = Window(-(10**6) + 1, 10**6)
-    assert win.size == MATERIALIZE_CAP
-    start = time.perf_counter()
-    assert hfold_product(finite([2, 3]), 2, win).members == (4, 6, 9)
-    assert time.perf_counter() - start < 1
-
-
-@pytest.mark.parametrize("h", [2, 3])
-def test_hfold_product_caps_the_members_it_reads(h):
-    # each product p within sqrt(r) reads about 2r/|p| members of this dense
-    # set, some 3e7 in all: refused before any product is listed
-    win = Window(-999_999, 10**6)
-    start = time.perf_counter()
-    with pytest.raises(CapError, match=f"{h}-fold products read more than"):
-        hfold_product(cofinite([0, 1, -1]), h, win)
-    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("v", [0, 1, -1, 2, 12, -36, 97, 360, -1001])
@@ -914,10 +841,6 @@ def test_mult_folds_trial_divide_each_value_once(monkeypatch):
     # 720,720 has 240 divisors: every depth re-meets the same quotients
     assert representation_count(cofinite([0]), 4, 720720, mode="mult").count
     assert seen and max(seen.values()) == 1
-    seen.clear()
-    # products are enumerated from the set's members, never trial-divided
-    hfold_product(cofinite([0, 1, -1]), 4, Window(-300, 300))
-    assert not seen
 
 
 _nonzero = st.integers(-12, 12).filter(bool)
@@ -937,7 +860,6 @@ def test_mult_counts_and_products_match_exhaustion(s, h, x):
     values = [v for v in materialize(s, Window(-abs(x), abs(x))) if x % v == 0]
     expected = rep_count(values, h, x, combine=math.prod)
     assert representation_count(s, h, x, mode="mult").count == expected
-    assert (x in hfold_product(s, h, Window(x, x)).members) == (expected > 0)
 
 
 # -- basis order ------------------------------------------------------------
