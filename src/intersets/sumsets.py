@@ -88,6 +88,7 @@ from .symbolic import (
     HalfTail,
     IntSet,
     Intersection,
+    LCM_CAP,
     Membership3,
     Tail,
     Union,
@@ -97,7 +98,6 @@ from .symbolic import (
     as_down_tail,
     bounds,
     check_cap,
-    congruence,
     contains,
     down_tail,
     half_tail,
@@ -193,49 +193,95 @@ def window_mask(result: SumsetResult, window: Window) -> int:
 def sum2(x: IntSet, y: IntSet) -> IntSet | None:
     """Exact Minkowski sum of two normalized sets, or None if no rule fires.
 
-    Two congruences close first; a finite set plus an optional ray next:
+    Finite sets and congruence classes close first.  For operands that are
+    each a Finite F, a Congruence m*Z + R or their union F | m*Z + R, the
+    sum of F1 | m1*Z + R1 and F2 | m2*Z + R2 (either part may be absent) is
+    (F1 + F2) | m2*Z + (F1 + R2) | m1*Z + (F2 + R1) | gcd(m1, m2)*Z + (R1 + R2),
+    each class built from its residues at once.  The rule refuses, and sum2
+    returns None, when a finite part that meets a class, or both finite
+    parts, pass _FINITE_FOLD_CAP.
+
+    A finite set plus an optional ray comes next:
     F1 | [t1, oo) + F2 | [t2, oo) = {a + b < t : a in F1, b in F2} | [t, oo)
     for operands A and B with at least one ray, t = min(t1 + min B,
     t2 + min A); two down-rays mirror it.  That rule defers for opposite
     rays, and for two finite parts above _FINITE_FOLD_CAP, where no rule
-    closes.
+    closes.  Then a cofinite class absorbs any infinite partner.
 
     Otherwise a union distributes: A + (B | C) = (A + B) | (A + C).  When
     an operand is a Union of at most _FINITE_FOLD_CAP parts, the sum is the
     union of the partner's sums with each part, provided every part
     closes; two Unions are tried in both orders.  If no distribution
     closes, the rules below run as if it had not been tried.  None of them
-    fires on two Unions: each needs a finite, cofinite-class or ray operand.
+    fires on two Unions: each needs a finite or ray operand.
     """
     if isinstance(x, Empty) or isinstance(y, Empty):
         return EMPTY
-    if isinstance(x, Congruence) and isinstance(y, Congruence):
-        # m1*Z + m2*Z = gcd(m1, m2)*Z
-        g = math.gcd(x.modulus, y.modulus)
-        sums = {(r1 + r2) % g for r1 in x.residues for r2 in y.residues}
-        return congruence(g, sums)
+    if (px := _periodic(x)) is not None and (py := _periodic(y)) is not None:
+        return _sum_periodic(x, y, px, py)
     if (res := _sum_finite_rays(x, y)) is not None:
         return res
+    for a, b in ((x, y), (y, x)):
+        if isinstance(a, (Cofinite, Tail)) and is_infinite(b):
+            return ALL
     for a, b in ((x, y), (y, x)):
         if isinstance(a, Union) and (res := _distribute(a, b)) is not None:
             return res
     for a, b in ((x, y), (y, x)):
         if isinstance(a, Finite) and len(a.elements) <= _FINITE_FOLD_CAP:
-            if isinstance(b, Finite):
-                return normalize(
-                    Finite(tuple({e + f for e in a.elements for f in b.elements}))
-                )
             return union(*(shift(b, e) for e in a.elements))
-    for a, b in ((x, y), (y, x)):
-        # a cofinite class absorbs any infinite partner
-        if isinstance(a, (Cofinite, Tail)) and is_infinite(b):
-            return ALL
     for a, b in ((x, y), (y, x)):
         if isinstance(a, HalfTail) or as_down_tail(a) is not None:
             res = _sum_ray(a, b)
             if res is not None:
                 return res
     return None
+
+
+def _periodic(s: IntSet) -> tuple[tuple[int, ...], Congruence | None] | None:
+    """(F, C) when s is a Finite F (C None), a Congruence C (F empty) or
+    the union of the two."""
+    if isinstance(s, Finite):
+        return s.elements, None
+    if isinstance(s, Congruence):
+        return (), s
+    if isinstance(s, Union) and len(s.parts) == 2:
+        f, c = s.parts
+        if isinstance(f, Finite) and isinstance(c, Congruence):
+            return f.elements, c
+    return None
+
+
+def _sum_periodic(
+    x: IntSet,
+    y: IntSet,
+    px: tuple[tuple[int, ...], Congruence | None],
+    py: tuple[tuple[int, ...], Congruence | None],
+) -> IntSet | None:
+    """sum2's finite-plus-class rule for x and y read as px and py."""
+    (f1, c1), (f2, c2) = px, py
+    cap = _FINITE_FOLD_CAP
+    if c2 and len(f1) > cap or c1 and len(f2) > cap or min(len(f1), len(f2)) > cap:
+        return None
+    if c1 and c2 and f1 and f2 and math.lcm(c1.modulus, c2.modulus) > LCM_CAP:
+        # past LCM_CAP classes stay apart, and the normal form of the sum
+        # depends on how the distributed unions nest
+        return _distribute(x, y)
+    pieces: list[IntSet] = []
+    if f1 and f2:
+        pieces.append(Finite(tuple({a + b for a in f1 for b in f2})))
+    for f, c in ((f1, c2), (f2, c1)):
+        if f and c:
+            pieces.append(_class_sum(c.modulus, f, c.residues))
+    if c1 and c2:
+        g = math.gcd(c1.modulus, c2.modulus)
+        pieces.append(_class_sum(g, c1.residues, c2.residues))
+    return normalize(pieces[0] if len(pieces) == 1 else Union(tuple(pieces)))
+
+
+def _class_sum(m: int, a: tuple[int, ...], b: tuple[int, ...]) -> Congruence:
+    """m*Z + (a + b), unnormalized."""
+    return Congruence(m, tuple({(p + q) % m for p in a for q in b}))
 
 
 def _distribute(u: Union, b: IntSet) -> IntSet | None:

@@ -1,9 +1,12 @@
-"""README's library quick start runs and shows the values its comments state."""
+"""README's library quick start runs and shows the values its comments state,
+and its first CLI example prints the line it shows."""
 
 import re
+import shlex
 from pathlib import Path
 
 from intersets import Closed, contains
+from intersets.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +29,13 @@ def test_readme_quick_start():
     assert rep.in_H == (1, 3, 4, 5)
     assert rep.verdict(2).status == "CertifiedOut"
     assert rep.verdict(2).witness == -1
+
+
+def test_readme_cli_sumset_example(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## CLI"):]
+    command, shown = re.search(r"```\n(.*?)\n(.*?)\n```", section).groups()
+    argv = shlex.split(command)
+    assert argv[:2] == ["intersets", "sumset"]
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out == shown + "\n"
