@@ -89,8 +89,6 @@ class HVerdict:
     status: str
     witness: object | None  # int, or a component pair for product families
     evidence: str
-    Q: int
-    window: Window
     # a certified member of the layer-fold intersection, when one is known;
     # products embed component witnesses next to these
     sample: object | None = None
@@ -233,7 +231,7 @@ def _verdict_h(family: Family, h: int, cfg: HConfig) -> HVerdict:
         outcome = _with_certificate(lhs, cset, cert.provenance, h, cfg.window)
     else:
         outcome = _empirical(family, h, cfg)
-    return HVerdict(h, *outcome, cfg.Q, cfg.window, sample, empty)
+    return HVerdict(h, *outcome, sample, empty)
 
 
 def _with_certificate(
@@ -465,7 +463,7 @@ def _pair_verdict(va: HVerdict, vb: HVerdict) -> HVerdict:
         if va.intersection_empty is False and vb.intersection_empty is False:
             empty = False
         outcome = _pair_outcome(va, vb)
-    return HVerdict(va.h, *outcome, va.Q, va.window, sample, empty)
+    return HVerdict(va.h, *outcome, sample, empty)
 
 
 def _pair_outcome(va: HVerdict, vb: HVerdict) -> Outcome:

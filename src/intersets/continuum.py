@@ -141,11 +141,10 @@ class RationalTheoremReport:
     max_distance: Fraction | None
     bound_ok: bool
     violations: tuple[Fraction, ...]
-    monotone: bool
 
     @property
     def ok(self) -> bool:
-        return self.base_in_intersection and self.bound_ok and self.monotone
+        return self.base_in_intersection and self.bound_ok
 
 
 def verify_rational_theorem(
@@ -194,8 +193,7 @@ def verify_rational_theorem(
         set(_perturbation_offsets(q, r_max, denom, family.include_base))
         for q in range(1, Q + 1)
     ]
-    monotone = all(outer >= inner for outer, inner in zip(offsets, offsets[1:]))
-    if not monotone:
+    if not all(outer >= inner for outer, inner in zip(offsets, offsets[1:])):
         raise InvariantError("perturbation offsets do not nest across the layers")
     intersection = _window_points(
         _fold_values(offsets[-1], h), base_scaled, lo_s, hi_s
@@ -232,7 +230,6 @@ def verify_rational_theorem(
         max_distance=None if max_dist is None else Fraction(max_dist, denom),
         bound_ok=not violations,
         violations=tuple(violations),
-        monotone=monotone,
     )
 
 

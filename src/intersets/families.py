@@ -143,7 +143,8 @@ class HalfTailFamily(Family):
     def certificate(self, h: int) -> TailCertificate | None:
         lo, _ = bounds(self.core)
         if lo is None and not isinstance(self.core, Empty):
-            return None
+            # n = c + (h-1) copies of q for a core point c <= n - (h-1)q
+            return TailCertificate(ALL, "unbounded-below")
         # below-bounded summands give each target finitely many
         # representations, so layers deep enough add nothing
         if (fold := _closed_hfold(self.core, h)) is None:

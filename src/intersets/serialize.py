@@ -261,8 +261,8 @@ def report_to_json(report: HReport) -> dict:
                 "status": v.status,
                 "witness": _point_to_json(v.witness),
                 "evidence": v.evidence,
-                "Q": str(v.Q),
-                "window": _window_to_json(v.window),
+                "Q": str(cfg.Q),
+                "window": _window_to_json(cfg.window),
                 "sample": _point_to_json(v.sample),
                 "intersection_empty": v.intersection_empty,
             }
@@ -281,14 +281,19 @@ def report_from_json(d) -> HReport:
             window=_window_from_json(d["config"]["window"]),
             gen_radius=_opt_num(d["config"].get("gen_radius")),
         )
+        for v in d["verdicts"]:
+            # each verdict restates the config's Q and window
+            if (_num(v["Q"]), _window_from_json(v["window"])) != (cfg.Q, cfg.window):
+                raise ParseError(
+                    f"verdict Q and window must equal the config's, "
+                    f"got {v['Q']!r} and {v['window']!r}"
+                )
         verdicts = tuple(
             HVerdict(
                 h=_num(v["h"]),
                 status=v["status"],
                 witness=_point_from_json(v.get("witness")),
                 evidence=v["evidence"],
-                Q=_num(v["Q"]),
-                window=_window_from_json(v["window"]),
                 sample=_point_from_json(v.get("sample")),
                 intersection_empty=v.get("intersection_empty"),
             )
@@ -311,6 +316,7 @@ TSV_COLUMNS = ("h", "status", "witness", "evidence", "Q", "window")
 
 
 def report_to_tsv(report: HReport) -> str:
+    cfg = report.config
     lines = ["\t".join(TSV_COLUMNS)]
     for v in report.verdicts:
         lines.append(
@@ -320,8 +326,8 @@ def report_to_tsv(report: HReport) -> str:
                     v.status,
                     _witness_cell(v.witness),
                     v.evidence,
-                    str(v.Q),
-                    f"{v.window.lo}:{v.window.hi}",
+                    str(cfg.Q),
+                    f"{cfg.window.lo}:{cfg.window.hi}",
                 )
             )
         )

@@ -88,7 +88,6 @@ from .symbolic import (
     HalfTail,
     IntSet,
     Intersection,
-    LCM_CAP,
     Membership3,
     Tail,
     Union,
@@ -218,7 +217,7 @@ def sum2(x: IntSet, y: IntSet) -> IntSet | None:
     if isinstance(x, Empty) or isinstance(y, Empty):
         return EMPTY
     if (px := _periodic(x)) is not None and (py := _periodic(y)) is not None:
-        return _sum_periodic(x, y, px, py)
+        return _sum_periodic(px, py)
     if (res := _sum_finite_rays(x, y)) is not None:
         return res
     for a, b in ((x, y), (y, x)):
@@ -253,20 +252,14 @@ def _periodic(s: IntSet) -> tuple[tuple[int, ...], Congruence | None] | None:
 
 
 def _sum_periodic(
-    x: IntSet,
-    y: IntSet,
     px: tuple[tuple[int, ...], Congruence | None],
     py: tuple[tuple[int, ...], Congruence | None],
 ) -> IntSet | None:
-    """sum2's finite-plus-class rule for x and y read as px and py."""
+    """sum2's finite-plus-class rule for operands read as px and py."""
     (f1, c1), (f2, c2) = px, py
     cap = _FINITE_FOLD_CAP
     if c2 and len(f1) > cap or c1 and len(f2) > cap or min(len(f1), len(f2)) > cap:
         return None
-    if c1 and c2 and f1 and f2 and math.lcm(c1.modulus, c2.modulus) > LCM_CAP:
-        # past LCM_CAP classes stay apart, and the normal form of the sum
-        # depends on how the distributed unions nest
-        return _distribute(x, y)
     pieces: list[IntSet] = []
     if f1 and f2:
         pieces.append(Finite(tuple({a + b for a in f1 for b in f2})))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intersets import (
+    ALL,
     CERTIFIED_IN,
     CERTIFIED_OUT,
     EMPIRICAL_EQUAL,
@@ -168,13 +169,17 @@ def test_unclosed_certificate_falls_back_to_layer_folds(fam, h2):
     assert compute_H(fam, 2).statuses == (CERTIFIED_IN, h2)
 
 
-def test_half_tail_of_a_class_core_is_uncertified():
-    # 3Z is unbounded below, so for h >= 2 every layer fold is all of Z and
-    # the closed certificate ALL exists; the family does not build it yet,
-    # and the layer folds cannot decide h >= 2 either
+def test_half_tail_of_a_core_unbounded_below_is_certified():
+    # 3Z is unbounded below, so for h >= 2 every layer fold is all of Z:
+    # n = c + (h-1) copies of q for a core point c <= n - (h-1)q
     fam = HalfTailFamily(congruence(3, [0]))
-    assert fam.certificate(2) is None
-    assert compute_H(fam, 3).statuses == (CERTIFIED_IN, UNDETERMINED, UNDETERMINED)
+    cert = fam.certificate(2)
+    assert (cert.closed_form, cert.provenance) == (ALL, "unbounded-below")
+    rep = compute_H(fam, 4)
+    assert rep.statuses == (CERTIFIED_IN,) + (CERTIFIED_OUT,) * 3
+    assert [v.witness for v in rep.verdicts[1:]] == [-1, -1, -1]
+    # an empty core is bounded below and keeps the finiteness certificate
+    assert HalfTailFamily(EMPTY).certificate(2).provenance == "finiteness"
 
 
 def test_compute_H_gates():
@@ -388,16 +393,18 @@ def test_product_out_witnesses_recheck_by_brute_force(left, right):
     # not from their reports: each coordinate is a member of its layer-fold
     # intersection (a representation is exhibited), and some coordinate is
     # certifiably outside its core's fold
-    for v in compute_H(ProductFamily(left, right), 3).verdicts:
+    rep = compute_H(ProductFamily(left, right), 3)
+    Q = rep.config.Q
+    for v in rep.verdicts:
         if v.status != CERTIFIED_OUT:
             continue
         outside = []
         for component, w in zip((left, right), v.witness):
             R = default_radius(
-                Window(-abs(w) - 1, abs(w) + 1), v.h, component.layer_reach(v.Q)
+                Window(-abs(w) - 1, abs(w) + 1), v.h, component.layer_reach(Q)
             )
             win = Window(w, w)
-            assert w in layer_fold_intersection(component, v.h, win, v.Q, R)
+            assert w in layer_fold_intersection(component, v.h, win, Q, R)
             core_fold = windowed_fold(component.intersection(), v.h, win, R)
             if verify_out_witness(component, v.h, w):
                 outside.append(w not in core_fold)

@@ -24,6 +24,7 @@ from intersets import (
     Window,
     compute_H,
     congruence,
+    down_tail,
     finite,
     half_tail,
     intersect,
@@ -58,6 +59,15 @@ RECHECKS = {
     "enumeration": (EnumerationFamily(finite([0, 2, 5])), 8, 80),
     "affine-half-tail": (AffineFamily(-1, 3, HalfTailFamily(finite([0, 4]))), 60, 80),
     "affine-coset-tail": (AffineFamily(-1, 3, CosetTailFamily(3, 1)), 8, 200),
+    # half-tails over cores unbounded below, certified ALL
+    "half-tail-class": (HalfTailFamily(congruence(3, [0])), 8, 120),
+    "half-tail-down-ray": (HalfTailFamily(down_tail(5)), 8, 120),
+    "half-tail-class-ray": (
+        HalfTailFamily(intersect(congruence(5, [0, 2]), down_tail(-3))), 8, 120
+    ),
+    "half-tail-points-class": (
+        HalfTailFamily(union(finite([2, 7]), congruence(4, [1]))), 8, 120
+    ),
 }
 
 

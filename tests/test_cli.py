@@ -37,6 +37,21 @@ def test_hset_tsv(family_file, capsys):
     assert statuses == ["CertifiedIn", "CertifiedOut", "CertifiedOut", "CertifiedIn"]
 
 
+def test_hset_tsv_writes_pair_witnesses(monkeypatch, capsys):
+    doc = {
+        "family": "product",
+        "left": {"family": "tail", "core": {"kind": "finite", "elements": ["0", "1"]}},
+        "right": {"family": "tail", "core": {"kind": "empty"}},
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["hset", "--family", "-", "--format", "tsv", "--hmax", "3",
+                 "--Q", "5", "--window=-9:7"]) == 0
+    rows = [ln.split("\t") for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[1][:3] == ["2", "CertifiedOut", "-1,0"]
+    # every row restates the config's Q and window
+    assert {(r[4], r[5]) for r in rows} == {("5", "-9:7")}
+
+
 def test_hset_json_round_trips(family_file, capsys):
     assert main(["hset", "--family", family_file, "--hmax", "3",
                  "--format", "json"]) == 0

@@ -10,11 +10,13 @@ from intersets import (
     CosetTailFamily,
     EnumerationFamily,
     ExplicitFamily,
+    HConfig,
     HalfTailFamily,
     ParseError,
     ProductFamily,
     ScaledFamily,
     TailFamily,
+    Window,
     affine,
     cofinite,
     compute_H,
@@ -163,6 +165,19 @@ def test_report_round_trip_product():
     back = report_from_json(j)
     assert back == rep
     assert back.verdicts[1].witness == (-1, 0)
+
+
+def test_report_verdicts_restate_the_config_window():
+    rep = compute_H(TailFamily(finite([0, 1])), 3, HConfig(Q=5, window=Window(-9, 7)))
+    j = report_to_json(rep)
+    assert all(
+        (v["Q"], v["window"]) == ("5", {"lo": "-9", "hi": "7"}) for v in j["verdicts"]
+    )
+    assert report_from_json(j) == rep
+    for key, bad in (("Q", "6"), ("window", {"lo": "-9", "hi": "8"})):
+        verdicts = [*j["verdicts"][:2], {**j["verdicts"][2], key: bad}]
+        with pytest.raises(ParseError):
+            report_from_json({**j, "verdicts": verdicts})
 
 
 def test_report_deep_scale_is_fixed():

@@ -7,7 +7,10 @@ Finite, Congruence and Finite | Congruence, with finite parts of 0 to 30
 elements, so the fold cap of 24 is straddled and some pairs have two finite
 parts above it.  Moduli run 2 to 14; some pairs take the primes 999983 and
 1000003, whose lcm passes LCM_CAP, and a few take a cofinite or tail
-partner.  Rewrite the fixture with
+partner.  The fixture's large moduli are coprime, so its pairs are
+symmetric either way; seeded pairs over moduli that share a factor past
+LCM_CAP check that sum2 answers both operand orders alike.  Rewrite the
+fixture with
 
     PYTHONPATH=src python tests/test_sum2_periodic.py
 
@@ -153,6 +156,34 @@ def test_closed_sums_match_brute_force_and_are_normal():
             radius = WINDOW.hi + SLACK + lcm
             got = set(members(s, WINDOW))
             assert got == windowed_sum(x, y, WINDOW, radius), case
+
+
+# moduli sharing the factor 2 whose pairwise lcms pass LCM_CAP, so the
+# class parts of a sum stay apart while the gcd class 2Z can absorb others
+SHARED_MODULI = (999958, 1000002, 1000018)
+
+
+def draw_shared(rng: random.Random):
+    elements = rng.sample(range(-48, 49), rng.randint(0, 4))
+    residues = [rng.randrange(-24, 25) for _ in range(rng.randint(1, 3))]
+    return union(finite(elements), congruence(rng.choice(SHARED_MODULI), residues))
+
+
+def test_sum2_is_symmetric_past_the_lcm_cap():
+    rng = random.Random(34)
+    for _ in range(200):
+        x, y = draw_shared(rng), draw_shared(rng)
+        assert sum2(x, y) == sum2(y, x), (x, y)
+
+
+def test_sum2_closes_classes_past_the_lcm_cap_in_one_step():
+    x = union(finite([0]), congruence(999958, [1]))
+    y = union(finite([0]), congruence(1000002, [1]))
+    want = union(congruence(2, [0]), congruence(999958, [1]), congruence(1000002, [1]))
+    assert sum2(x, y) == sum2(y, x) == want
+    assert want == Union(
+        (congruence(2, [0]), congruence(999958, [1]), congruence(1000002, [1]))
+    )
 
 
 @pytest.fixture
