@@ -20,11 +20,9 @@ from .errors import CapError, ConstructionError, InputError
 from .symbolic import (
     ALL,
     Cofinite,
-    Empty,
     Finite,
     IntSet,
     affine,
-    bounds,
     co_interval_bounds,
     cofinite,
     congruence,
@@ -36,6 +34,7 @@ from .symbolic import (
     scale_set,
     spiral_key,
     tail,
+    unbounded,
     union,
     window_bits,
 )
@@ -141,8 +140,7 @@ class HalfTailFamily(Family):
         return self.core
 
     def certificate(self, h: int) -> TailCertificate | None:
-        lo, _ = bounds(self.core)
-        if lo is None and not isinstance(self.core, Empty):
+        if unbounded(self.core, -1):
             # n = c + (h-1) copies of q for a core point c <= n - (h-1)q
             return TailCertificate(ALL, "unbounded-below")
         # below-bounded summands give each target finitely many

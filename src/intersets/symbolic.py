@@ -518,31 +518,33 @@ def max_element(s: IntSet) -> int | None:
 
 def is_infinite(s: IntSet) -> bool:
     """True when s is provably infinite; False when it is finite or unknown."""
+    return unbounded(s, -1) or unbounded(s, 1)
+
+
+def unbounded(s: IntSet, side: int) -> bool:
+    """True when s provably has elements past every bound on one side (-1
+    below, 1 above); False when it is bounded there or this is unknown."""
     if isinstance(s, (Empty, Finite)):
         return False
-    if isinstance(s, (Cofinite, Congruence, Tail, HalfTail)):
+    if isinstance(s, Congruence):
+        return bool(s.residues)
+    if isinstance(s, HalfTail):
+        return side == 1
+    if isinstance(s, (Cofinite, Tail)):
         return True
     if isinstance(s, Affine):
-        return is_infinite(s.inner)
+        return unbounded(s.inner, side * s.unit)
     if isinstance(s, Union):
-        return any(is_infinite(p) for p in s.parts)
+        return any(unbounded(p, side) for p in s.parts)
     if isinstance(s, Intersection):
-        lo, hi = bounds(s)
-        if lo is not None and hi is not None:
-            return False
-        congs = [p for p in s.parts if isinstance(p, Congruence)]
-        rest = [p for p in s.parts if not isinstance(p, Congruence)]
-        if len(congs) == 1 and all(
-            _co_desc(p) is not None
-            or isinstance(p, HalfTail)
-            or as_down_tail(p) is not None
-            for p in rest
-        ):
-            # one congruence class cut by finitely many points and/or one ray
-            half = any(isinstance(p, HalfTail) for p in rest)
-            down = any(as_down_tail(p) is not None for p in rest)
-            return not (half and down)
-        return False
+        # one congruence class cut by finitely many points and by rays
+        # that all open toward this side
+        shapes = (Congruence, HalfTail, Cofinite, Tail)
+        return sum(isinstance(p, Congruence) for p in s.parts) == 1 and all(
+            (isinstance(p, shapes) or as_down_tail(p) is not None)
+            and unbounded(p, side)
+            for p in s.parts
+        )
     raise TypeError(f"not an IntSet: {s!r}")
 
 

@@ -182,6 +182,33 @@ def test_half_tail_of_a_core_unbounded_below_is_certified():
     assert HalfTailFamily(EMPTY).certificate(2).provenance == "finiteness"
 
 
+# Cores that normalize leaves as lazy intersections with no known bounds.
+# Neither is unbounded below, so neither may be certified ALL.
+_BIG_ODD_CLASSES = [
+    congruence(2 * p, [1])
+    for p in (500009, 500029, 500041, 500057, 500069, 500083, 500107, 500111,
+              500113, 500119, 500153, 500167, 500173, 500177, 500179, 500197)
+]
+
+
+@pytest.mark.parametrize(
+    "core",
+    [
+        # empty: the residues differ mod 2, but the lcm passes LCM_CAP
+        intersect(congruence(999958, [0]), congruence(1000002, [1])),
+        # 2Z meets 17 parts, too many to distribute, and only the
+        # half-tail has even points: the core is 2Z ∩ [0, ∞)
+        intersect(congruence(2, [0]), union(half_tail(0), *_BIG_ODD_CLASSES)),
+    ],
+    ids=["empty-class-pair", "bounded-below-union"],
+)
+def test_half_tail_of_an_unreduced_core_is_uncertified(core):
+    assert isinstance(core, symbolic.Intersection)
+    assert symbolic.bounds(core) == (None, None)
+    assert not symbolic.unbounded(core, -1)
+    assert HalfTailFamily(core).certificate(2) is None
+
+
 def test_compute_H_gates():
     with pytest.raises(InputError):
         compute_H(TailFamily(EMPTY), 0)
