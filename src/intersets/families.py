@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import CapError, ConstructionError, InputError
 from .symbolic import (
     ALL,
+    MATERIALIZE_CAP,
     Cofinite,
     Finite,
     IntSet,
@@ -282,7 +283,6 @@ class EnumerationFamily(Family):
 
     kind = "enumeration"
     fields = {"core": "set"}
-    _SEARCH_CAP = 1 << 20
 
     def __init__(self, core: IntSet):
         self.core = normalize(core)
@@ -302,17 +302,17 @@ class EnumerationFamily(Family):
             pool = range(max(a, near - n), min(b, near + n) + 1)
         else:
             # spiral order lists all of [-r, r] before any |x| > r, so once
-            # the window holds n complement points they are the first n
+            # the window holds n complement points they are the first n;
+            # the last radius is the largest whose window fits the cap
+            top = (MATERIALIZE_CAP - 1) // 2
             r = 64
             while True:
-                r = min(r, self._SEARCH_CAP)
+                r = min(r, top)
                 gaps = ((1 << (2 * r + 1)) - 1) & ~window_bits(self.core, -r, r)
                 if gaps.bit_count() >= n:
                     break
-                if r == self._SEARCH_CAP:
-                    raise CapError(
-                        f"complement enumeration exceeded |a| <= {self._SEARCH_CAP}"
-                    )
+                if r == top:
+                    raise CapError(f"complement enumeration exceeded |a| <= {top}")
                 r *= 4
             pool = mask_members(gaps, -r)
         return sorted(pool, key=spiral_key)[:n]

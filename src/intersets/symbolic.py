@@ -822,9 +822,10 @@ def _merge_congruences(congs: list[Congruence]):
     """Merge congruence parts of a union; returns a list of parts or ALL.
 
     Classes of one modulus merge, and all of them merge into one class
-    when the lcm of their moduli fits in LCM_CAP.  Past that cap, a class
-    that another contains is dropped, and the rest are merged again until
-    nothing changes: a merged class may have a smaller modulus.
+    when the lcm of their moduli fits in LCM_CAP and that class has at
+    most EXPAND_CAP residues, counted before any is built.  Past either
+    cap, a class that another contains is dropped, and the rest are merged
+    again until nothing changes: a merged class may have a smaller modulus.
     """
     if not congs:
         return []
@@ -836,7 +837,8 @@ def _merge_congruences(congs: list[Congruence]):
         lcm = math.lcm(lcm, m)
         if lcm > LCM_CAP:
             break
-    if lcm <= LCM_CAP:
+    size = sum(len(rs) * (lcm // m) for m, rs in by_mod.items())
+    if lcm <= LCM_CAP and size <= EXPAND_CAP:
         res = {x for m, rs in by_mod.items() for r in rs for x in range(r, lcm, m)}
         out = _primitive_congruence(lcm, res)
         return ALL if out == ALL else [out]
@@ -972,10 +974,13 @@ def _reduce_co_co(dx, dy) -> IntSet | None:
 
 
 def _reduce_cong_cong(x: Congruence, y: Congruence) -> IntSet | None:
-    lcm = math.lcm(x.modulus, y.modulus)
+    g = math.gcd(x.modulus, y.modulus)
+    # classes meet where residues agree mod g, which holds past LCM_CAP too
+    if not {r % g for r in x.residues} & {r % g for r in y.residues}:
+        return EMPTY
+    lcm = x.modulus // g * y.modulus
     if lcm > LCM_CAP:
         return None
-    g = math.gcd(x.modulus, y.modulus)
     res = set()
     for r1 in x.residues:
         for r2 in y.residues:

@@ -21,14 +21,18 @@ from intersets import (
     Window,
     cofinite,
     congruence,
+    down_tail,
     finite,
     half_tail,
+    intersect,
     is_subset,
     materialize,
     tail,
     union,
 )
+from intersets import families
 from intersets.serialize import family_from_json
+from intersets.symbolic import MATERIALIZE_CAP
 from oracles import spiral
 from test_serialize import assert_round_trip
 
@@ -220,9 +224,27 @@ def test_enumeration_search_windows_and_cap():
     fam = EnumerationFamily(union(congruence(2, (0,)), tail(0, 2**21)))
     odd = [x for x in spiral(Window(-700, 700)) if x % 2]
     assert fam.set_at(301) == cofinite(odd[:300])
-    # [-2**20, 2**20] holds 2**20 odd numbers, one fewer than asked for
-    with pytest.raises(CapError, match=r"exceeded \|a\| <= 1048576"):
-        fam.set_at(2**20 + 2)
+    # the last radius 999999 is the largest whose window fits
+    # MATERIALIZE_CAP; [-999999, 999999] holds 10**6 odd numbers, one fewer
+    # than asked for
+    with pytest.raises(CapError, match=r"exceeded \|a\| <= 999999$"):
+        fam.set_at(10**6 + 2)
+
+
+def test_enumeration_search_stays_within_the_materialization_cap(monkeypatch):
+    spans = []
+    bits = families.window_bits
+    monkeypatch.setattr(
+        families,
+        "window_bits",
+        lambda s, lo, hi: spans.append(hi - lo + 1) or bits(s, lo, hi),
+    )
+    # the complement is the odd numbers of absolute value above 2**21
+    segment = intersect(half_tail(-(2**21)), down_tail(2**21))
+    fam = EnumerationFamily(union(congruence(2, (0,)), segment))
+    with pytest.raises(CapError):
+        fam.set_at(2)
+    assert spans[-1] == MATERIALIZE_CAP - 1 and max(spans) <= MATERIALIZE_CAP
 
 
 def test_coset_layers():

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from intersets import (
+    CapError,
     ConstructionError,
     DomainError,
     FiniteGroupTable,
@@ -71,6 +72,13 @@ def test_cyclic_table():
         FiniteGroupTable.cyclic(-3)
     # tables are memoised: a repeat call shares the frozen table
     assert FiniteGroupTable.cyclic(5) is g
+
+
+def test_cyclic_table_cap_is_checked_before_any_row():
+    # 1415**2 entries pass MATERIALIZE_CAP; 10**5 would be 10**10 entries
+    for n in (1415, 10**5):
+        with pytest.raises(CapError, match=f"order {n} needs {n * n} table entries"):
+            FiniteGroupTable.cyclic(n)
 
 
 def test_group_hfold():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from intersets import InputError
+from intersets import InputError, Window
 from intersets import scenarios
 from intersets.scenarios import (
     ScenarioOptions,
@@ -84,6 +84,12 @@ def test_scenario_json_matches_golden(seed, sid):
     path = GOLDEN / f"verify-seed{seed}.json"
     golden = json.loads(path.read_text(encoding="utf-8"))
     assert result_to_json(run_scenario(sid, ScenarioOptions(seed=seed))) == golden[sid]
+
+
+def test_surjection_ignores_the_window():
+    # pullback_check decides every fold and H on closed forms
+    default = run_scenario("surjection", ScenarioOptions())
+    assert run_scenario("surjection", ScenarioOptions(window=Window(-3, 3))) == default
 
 
 def test_result_formats():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -198,6 +200,50 @@ def test_classes_past_the_lcm_cap_merge_until_nothing_changes():
     n = union(congruence(3, [0]), congruence(3039, [0]), congruence(1009, [0]))
     assert n == union(congruence(3, [0]), congruence(1009, [0]))
     assert isinstance(n, Congruence) and n.modulus == 3027
+
+
+def test_class_pairs_past_the_lcm_cap_meet_exactly_where_residues_agree():
+    # every pair of these moduli has an lcm past LCM_CAP, and gcds 2, 6, 30
+    moduli = (999958, 1000002, 999990, 1000020)
+    rng = random.Random(35)
+    for _ in range(400):
+        m1, m2 = rng.sample(moduli, 2)
+        r1 = rng.sample(range(40), rng.randint(1, 3))
+        r2 = rng.sample(range(40), rng.randint(1, 3))
+        a, b = congruence(m1, r1), congruence(m2, r2)
+        n = intersect(a, b)
+        g = math.gcd(m1, m2)
+        agree = [(x, y) for x in r1 for y in r2 if (x - y) % g == 0]
+        assert (n == EMPTY) == (not agree)
+        if agree:
+            # the CRT lift of an agreeing pair is a common member
+            x, y = agree[0]
+            k = (y - x) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
+            assert contains(n, x + k * m1) and contains(b, x + k * m1)
+
+
+def test_classes_merge_only_while_the_merged_class_fits_the_expand_cap(monkeypatch):
+    # 2Z | 999958Z + 1 would be one class of 499,980 residues
+    parts = (Congruence(2, (0,)), Congruence(999958, (1,)))
+    built = []
+    primitive = symbolic._primitive_congruence
+    monkeypatch.setattr(
+        symbolic,
+        "_primitive_congruence",
+        lambda m, rs: built.append(len(rs)) or primitive(m, rs),
+    )
+    assert symbolic._merge_congruences(list(parts)) == list(parts)
+    assert max(built) == 1
+    u = union(*parts)
+    assert u == Union(parts)
+    for x in random.Random(35).sample(range(-3 * 999958, 3 * 999958), 2000):
+        assert contains(u, x) == (x % 2 == 0 or x % 999958 == 1)
+    # 2Z | mZ + 1 has m/2 + 1 residues mod an even m: the cap's edge
+    edge = 2 * (EXPAND_CAP - 1)
+    merged = union(congruence(2, [0]), congruence(edge, [1]))
+    assert isinstance(merged, Congruence) and len(merged.residues) == EXPAND_CAP
+    apart = union(congruence(2, [0]), congruence(edge + 2, [1]))
+    assert apart == Union((Congruence(2, (0,)), Congruence(edge + 2, (1,))))
 
 
 def test_punctured_class_keeps_its_run_canonical():
