@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .errors import InputError, InvariantError
 from .families import ExplicitFamily, Family, ProductFamily
@@ -23,10 +24,12 @@ from .groups import FiniteGroupTable, _group_verdicts, group_hfolds
 from .symbolic import (
     MATERIALIZE_CAP,
     OUT,
+    Cofinite,
     Congruence,
     Empty,
     Finite,
     IntSet,
+    Tail,
     Union,
     Window,
     check_cap,
@@ -44,6 +47,7 @@ from .symbolic import (
 from .sumsets import (
     Closed,
     SumsetResult,
+    _closed_hfold,
     default_radius,
     members_in,
     query,
@@ -137,14 +141,22 @@ class HReport:
 def _nearest_member(s: IntSet) -> int | None:
     """The spiral-first member of a normal form read off the term: the
     members nearest 0 on each side of a Finite, r - m and r for the outer
-    residues of m.Z + R, and the nearest of a Union's parts.  None for
+    residues of m.Z + R, the first point of 0, -1, 1, -2, ... that a
+    Cofinite does not exclude, 0 or else c - r and c + r for a Tail with
+    center c and radius r, and the nearest of a Union's parts.  None for
     every other shape, or a Union with such a part."""
+    if isinstance(s, Cofinite):
+        gone = set(s.excluded)
+        return next(x for k in count() for x in (-k, k) if x not in gone)
     if isinstance(s, Finite):
         xs = s.elements
         i = bisect_left(xs, 0)
         near = xs[max(i - 1, 0) : i + 1]
     elif isinstance(s, Congruence):
         near = (s.residues[-1] - s.modulus, s.residues[0])
+    elif isinstance(s, Tail):  # Z minus c - r + 1 .. c + r - 1
+        c, r = s.center, s.radius
+        near = (0,) if abs(c) >= r else (c - r, c + r)
     elif isinstance(s, Union):
         near = [_nearest_member(p) for p in s.parts]
         if None in near:
@@ -155,9 +167,11 @@ def _nearest_member(s: IntSet) -> int | None:
 
 
 def _sample_member(s: IntSet, window: Window) -> int | None:
-    """Smallest-|x| member (negatives first), read off the term where its
-    shape gives it, else scanning growing windows while they stay within
-    the materialization cap."""
+    """Smallest-|x| member (negatives first), read off the term by
+    `_nearest_member` where its shape gives it (a Finite, Congruence,
+    Cofinite, Tail or a Union of them) and the first window holds it, else
+    scanning growing windows while they stay within the materialization
+    cap."""
     s = normalize(s)
     if isinstance(s, Empty):
         return None
@@ -196,12 +210,12 @@ def compute_H(
     if isinstance(family, ProductFamily):
         return compute_H_product(family, h_max, config)
     cfg = config or HConfig()
-    verdicts = tuple(_verdict_h(family, h, cfg) for h in range(1, h_max + 1))
+    core = normalize(family.intersection())
+    verdicts = tuple(_verdict_h(family, core, h, cfg) for h in range(1, h_max + 1))
     return HReport(kind=family.kind, config=cfg, verdicts=verdicts)
 
 
-def _verdict_h(family: Family, h: int, cfg: HConfig) -> HVerdict:
-    core = normalize(family.intersection())
+def _verdict_h(family: Family, core: IntSet, h: int, cfg: HConfig) -> HVerdict:
     # the 1-fold sums are the layers themselves: the core certifies h = 1
     cert = None if h == 1 else family.certificate(h)
     cset = core if h == 1 else (normalize(cert.closed_form) if cert else None)
@@ -230,7 +244,7 @@ def _verdict_h(family: Family, h: int, cfg: HConfig) -> HVerdict:
         lhs = symbolic_hfold_sum(core, h, cfg.window, radius)
         outcome = _with_certificate(lhs, cset, cert.provenance, h, cfg.window)
     else:
-        outcome = _empirical(family, h, cfg)
+        outcome = _empirical(family, core, h, cfg)
     return HVerdict(h, *outcome, sample, empty)
 
 
@@ -334,9 +348,9 @@ def truncated_layer_fold(
     return set(mask_members(acc, window.lo))
 
 
-def _empirical(family: Family, h: int, cfg: HConfig) -> Outcome:
-    """Two-scale truncation comparison when no certificate exists."""
-    core = normalize(family.intersection())
+def _empirical(family: Family, core: IntSet, h: int, cfg: HConfig) -> Outcome:
+    """Two-scale truncation comparison of the normalized core's folds when
+    no certificate exists."""
     passes = []
     for scale in (1, DEEP_SCALE):
         win = cfg.window.scaled(scale) if scale != 1 else cfg.window
@@ -595,7 +609,7 @@ def pullback_check(m: int, layers, h_max: int) -> PullbackReport:
         ladders[layer] = group_hfolds(g, layer, h_max)
         for h, gf in enumerate(ladders[layer], 1):
             fold = tuple(sorted(gf))
-            ok = symbolic_hfold_sum(pull, h).set == congruence(m, fold)
+            ok = _closed_hfold(pull, h) == normalize(Congruence(m, fold))
             checks.append(FoldCheck(h, residues, fold, ok))
 
     group_verdicts = _group_verdicts(g, ladders, h_max)

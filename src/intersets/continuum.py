@@ -125,6 +125,34 @@ def _base_sums(points, h: int, lo, hi) -> list:
     return sorted(found)
 
 
+def _stretch_scan(
+    points: list[int], bases: list[int], limit: int
+) -> tuple[int | None, list[int]]:
+    """Over sorted points and sorted base sums (nonempty when the points
+    are): the largest distance from a point to its nearest base sum, None
+    for no points, and the points farther than limit from every base sum,
+    ascending.
+
+    Bisections read each stretch between neighbouring base sums a < b
+    whole: its farthest points are the two around (a + b)/2, and its points
+    more than limit from both ends are one run.  On the outer rays the
+    farthest point is the extreme one and the far points are one run.
+    """
+    if not points:
+        return None, []
+    first, last = bases[0], bases[-1]
+    max_dist = max(first - points[0], points[-1] - last, 0)
+    far = points[: bisect_left(points, first - limit)]
+    for a, b in zip(bases, bases[1:]):
+        i = bisect_right(points, (a + b) // 2)
+        for x in points[max(i - 1, 0) : i + 1]:
+            if a <= x <= b:
+                max_dist = max(max_dist, min(x - a, b - x))
+        far += points[bisect_right(points, a + limit) : bisect_left(points, b - limit)]
+    far += points[bisect_right(points, last + limit) :]
+    return max_dist, far
+
+
 @dataclass(frozen=True)
 class RationalTheoremReport:
     """Exact truncation data for one (h, Q) rational-perturbation run."""
@@ -161,11 +189,13 @@ def verify_rational_theorem(
     surviving lies within h/Q of a base sum.  All arithmetic is integer
     on the common denominator D = lcm(1..r_max): the window is scaled once
     to the integer bounds ceil(lo*D) and floor(hi*D), each layer's fold
-    values are sorted and bisected per base sum, and a distance d/D is
-    tested against h/Q as d*Q > h*D.  Layer q is the base sums plus F_q,
-    the h-fold sums of its perturbations.  Each layer's offsets hold the
-    next one's, so the layers nest and only layer Q's window points are
-    built; offsets that fail to nest raise InvariantError.
+    values are sorted and bisected per base sum, and a distance d/D exceeds
+    h/Q iff d > h*D // Q, which `_stretch_scan` tests once per stretch
+    between neighbouring base sums, not once per point.  Layer q is the
+    base sums plus F_q, the h-fold sums of its perturbations.  Each
+    layer's offsets hold the next one's, so the layers nest and only layer
+    Q's window points are built; offsets that fail to nest raise
+    InvariantError.
     """
     if h < 2:
         raise InputError(f"h must be >= 2, got {h}")
@@ -202,20 +232,8 @@ def verify_rational_theorem(
     in_window = [s for s in base_scaled if lo_s <= s <= hi_s]
     missing = [s for s in in_window if s not in intersection]
 
-    # a distance d / D exceeds h / Q iff d * Q > h * D
-    limit = h * denom
-    max_dist: int | None = None
-    violations = []
-    j, last = 0, len(base_scaled) - 1
-    for x in sorted(intersection):
-        # x only grows, so the nearest base sum never moves left
-        while j < last and base_scaled[j + 1] - x < x - base_scaled[j]:
-            j += 1
-        best = abs(x - base_scaled[j])
-        if max_dist is None or best > max_dist:
-            max_dist = best
-        if best * Q > limit:
-            violations.append(Fraction(x, denom))
+    # an integer distance d exceeds h*D/Q iff it exceeds h*D // Q
+    max_dist, far = _stretch_scan(sorted(intersection), base_scaled, h * denom // Q)
 
     return RationalTheoremReport(
         h=h,
@@ -228,8 +246,8 @@ def verify_rational_theorem(
         missing_base=tuple(Fraction(s, denom) for s in missing),
         bound=Fraction(h, Q),
         max_distance=None if max_dist is None else Fraction(max_dist, denom),
-        bound_ok=not violations,
-        violations=tuple(violations),
+        bound_ok=not far,
+        violations=tuple(Fraction(x, denom) for x in far),
     )
 
 

@@ -61,7 +61,7 @@ only the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -121,6 +121,9 @@ _MULT_TARGET_CAP = 10**10
 # (set, h) entries of the closed-fold memo: one pass of all 16 verify
 # scenarios fills 5,253 to 5,296 at seeds 0, 5 and 7
 _CLOSED_FOLD_CACHE = 1 << 14
+# a cold climb memoises every _FOLD_STRIDE-th fold on the way up, so
+# _closed_fold never recurses deeper than this
+_FOLD_STRIDE = 128
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,8 @@ class Windowed:
     """
 
     window: Window
-    bits: int
+    # a wide window's int has too many digits for str(), so repr omits it
+    bits: int = field(repr=False)
     generation_radius: int
     complete: bool
 
@@ -362,14 +366,12 @@ def symbolic_hfold_sum(
 
 def _closed_hfold(s: IntSet, h: int) -> IntSet | None:
     """The h-fold sum of a normalized set in closed form, or None when no
-    rewrite rule closes it."""
-    acc: IntSet | None = s
-    # ascending h keeps _closed_fold's recursion one level deep
-    for k in range(2, h + 1):
-        acc = _closed_fold(s, k)
-        if acc is None:
-            break
-    return acc
+    rewrite rule closes it.  Up to h = _FOLD_STRIDE this is one memo
+    lookup; past it, one per stride."""
+    for k in range(_FOLD_STRIDE, h, _FOLD_STRIDE):
+        if _closed_fold(s, k) is None:
+            return None
+    return _closed_fold(s, h)
 
 
 @lru_cache(maxsize=_CLOSED_FOLD_CACHE)

@@ -4,7 +4,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersets import (
@@ -833,6 +833,23 @@ def test_sample_member_term_read_matches_the_window_scan(s, radius):
         # the term read is the spiral-first member, wherever it lies
         r = max(abs(x), 1)
         assert symbolic.spiral_first(symbolic.window_bits(s, -r, r), -r) == x
+    window = Window(-radius, radius)
+    with mock.patch.object(analyzer, "_nearest_member", lambda s: None):
+        scanned = _sample_member(s, window)
+    assert _sample_member(s, window) == scanned
+
+
+@given(st.lists(st.integers(-20, 20), max_size=41), st.integers(0, 100))
+@example([], 0)  # ALL
+@example([-1, 0, 1], 0)  # a Tail
+@example([-1, 0, 2], 5)
+@example(list(range(-20, 21)), 3)  # no member in the first window
+@settings(max_examples=200)
+def test_sample_member_reads_a_cofinite_off_its_excluded_points(xs, radius):
+    s = symbolic.cofinite(xs)
+    assert analyzer._nearest_member(s) == symbolic.spiral_first(
+        symbolic.window_bits(s, -21, 21), -21
+    )
     window = Window(-radius, radius)
     with mock.patch.object(analyzer, "_nearest_member", lambda s: None):
         scanned = _sample_member(s, window)

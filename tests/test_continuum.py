@@ -133,6 +133,31 @@ def test_rational_theorem_matches_naive_folds(include_base, h, Q, window):
     assert {k: getattr(rep, k) for k in naive} == naive
 
 
+def test_stretch_scan_matches_a_per_point_scan():
+    # no valid theorem input has a violation, so the scan is driven directly
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(400):
+        bases = sorted(rng.sample(range(-60, 61), rng.randint(1, 6)))
+        points = set(rng.sample(bases, rng.randint(0, len(bases))))
+        points.update(rng.randint(-90, 90) for _ in range(rng.randint(0, 30)))
+        points = sorted(points)
+        limit = rng.randint(0, 15)
+        dists = [min(abs(x - b) for b in bases) for x in points]
+        far = [x for x, d in zip(points, dists) if d > limit]
+        assert continuum._stretch_scan(points, bases, limit) == (
+            max(dists, default=None),
+            far,
+        )
+        if set(points) & set(bases):
+            seen.add("on a base sum")
+        if points and (points[0] < bases[0] or points[-1] > bases[-1]):
+            seen.add("beyond the outer ones")
+        if far:
+            seen.add("violations")
+    assert seen == {"on a base sum", "beyond the outer ones", "violations"}
+
+
 def _count_window_points(monkeypatch) -> list:
     calls = []
     honest = continuum._window_points

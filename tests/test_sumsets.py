@@ -219,6 +219,15 @@ def test_closed_fold_memo_reuses_folds(monkeypatch):
     assert 0 < len(calls) < cold
 
 
+def test_cold_deep_fold_recurses_shallowly():
+    sumsets._closed_fold.cache_clear()
+    # one _closed_fold call at h = 1500 on a cold memo would recurse past
+    # the default limit of 1000 frames
+    assert symbolic_hfold_sum(congruence(7, (1,)), 1500) == Closed(
+        congruence(7, (1500 % 7,))
+    )
+
+
 @pytest.mark.parametrize(
     "ray, partner, expected",
     [
@@ -717,6 +726,14 @@ def test_windowed_result_is_read_without_listing_members():
     assert not decode.called
     assert answers == [IN if x in sums else OUT for x in points]
     assert got == sum(1 << x - sub.lo for x in sums if sub.lo <= x <= sub.hi)
+
+
+def test_windowed_repr_names_the_window_of_a_wide_result():
+    # its bits run past str()'s 4,300-digit limit for ints
+    xs = random.Random(1).sample(range(-10000, 10000), 100)
+    r = symbolic_hfold_sum(finite(xs), 2, Window(-20000, 20000))
+    assert isinstance(r, Windowed) and r.bits >= 10**4300
+    assert "window=Window(lo=-20000, hi=20000)" in repr(r)
 
 
 def test_query_bisects_members():
